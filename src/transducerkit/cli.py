@@ -194,14 +194,14 @@ def cmd_align_delay(args):
     return 0
 
 
-def mean_corpus_delay(model, utts, decode_cfg):
-    """Greedy-decode a corpus and average per-utterance alignment delays,
-    mapping raw ground-truth frames onto encoder frames."""
+def mean_corpus_delay(model, utts, hyps):
+    """Average per-utterance alignment delays of already decoded hypotheses
+    ({utt_id: Hypothesis}, as evaluate_token_error returns them), mapping raw
+    ground-truth frames onto encoder frames."""
     div = model.cfg.frame_stack
     delays = []
     for utt in utts:
-        enc, _ = model.encode(utt.features)
-        hyp = decode(model, enc, decode_cfg)
+        hyp = hyps[utt.utt_id]
         scaled_ref = [(f + div - 1) // div for f in utt.ref_frames]
         try:
             delays.append(
@@ -231,8 +231,8 @@ def cmd_sweep_tau(args):
             run.values["seed"] = base_seed + s
             model = TransducerModel(model_config_from(run))
             fit(model, train_utts, train_config_from(run), log=_log)
-            err, _ = evaluate_token_error(model, test_utts, dcfg)
-            delay = mean_corpus_delay(model, test_utts, dcfg)
+            err, hyps = evaluate_token_error(model, test_utts, dcfg)
+            delay = mean_corpus_delay(model, test_utts, hyps)
             _log(f"tau={tau} seed={base_seed + s}: token_error={err:.4f} delay={delay:.2f}")
             errs.append(err)
             delays.append(delay)

@@ -4,7 +4,9 @@ Frame indices recorded by the decoders are 1-based frame numbers, matching
 the ground-truth emission frames written by the data generator.
 """
 
-from dataclasses import dataclass
+import heapq
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,11 +38,6 @@ class Hypothesis:
     frame_emissions: int = 0  # emissions within the current frame
 
 
-def _start_hypothesis(model):
-    state, out = model.prediction.step(model.prediction.initial_state(), None)
-    return Hypothesis(pred_state=state, pred_out=out)
-
-
 def greedy_decode(model, enc_outputs, max_symbols_per_frame=10):
     """Emit the argmax token per step; blank advances to the next frame.
 
@@ -48,10 +45,9 @@ def greedy_decode(model, enc_outputs, max_symbols_per_frame=10):
     the blank transition) after max_symbols_per_frame emissions, so decoding
     always terminates within T*max_symbols_per_frame prediction steps.
     """
-    hyp = _start_hypothesis(model)
+    state, pred_out = model.prediction.step(model.prediction.initial_state(), None)
     tokens, frames = [], []
     log_prob = 0.0
-    state, pred_out = hyp.pred_state, hyp.pred_out
     for t in range(enc_outputs.shape[0]):
         emitted = 0
         while True:
@@ -76,26 +72,14 @@ def greedy_decode(model, enc_outputs, max_symbols_per_frame=10):
 
 def _merge(pool, hyp):
     """Merge into a dict keyed by token prefix: scores add by logsumexp, the
-    higher-scoring branch keeps its emission frames and (identical) state."""
+    higher-scoring branch keeps its emission frames. Returns the entry now
+    stored under hyp.tokens."""
     old = pool.get(hyp.tokens)
-    if old is None:
-        pool[hyp.tokens] = hyp
-        return
-    merged_score = float(np.logaddexp(old.log_prob, hyp.log_prob))
-    keep = old if old.log_prob >= hyp.log_prob else hyp
-    pool[hyp.tokens] = Hypothesis(
-        tokens=keep.tokens,
-        log_prob=merged_score,
-        pred_state=keep.pred_state,
-        pred_out=keep.pred_out,
-        emit_frames=keep.emit_frames,
-        frame_emissions=keep.frame_emissions,
-    )
-
-
-def _best(pool):
-    # lower token ids win exact score ties, so decoding is deterministic
-    return max(pool.values(), key=lambda h: (h.log_prob, tuple(-t for t in h.tokens)))
+    if old is not None:
+        keep = old if old.log_prob >= hyp.log_prob else hyp
+        hyp = replace(keep, log_prob=float(np.logaddexp(old.log_prob, hyp.log_prob)))
+    pool[hyp.tokens] = hyp
+    return hyp
 
 
 def beam_decode(model, enc_outputs, cfg):
@@ -104,62 +88,65 @@ def beam_decode(model, enc_outputs, cfg):
     Hypotheses with identical token sequences merge by logsumexp. Within a
     frame, expansion continues until the beam's blank-terminated hypotheses
     cannot be beaten by anything left to expand (with a
-    max_symbols_per_frame guard). Returns (best, nbest list).
+    max_symbols_per_frame guard). The prediction network runs once per
+    distinct prefix, when a hypothesis with that prefix is first popped.
+    Returns (best, nbest list).
     """
     beam_k = min(cfg.beam_width, model.num_labels - 1)
-    kept = {(): _start_hypothesis(model)}
+    # token prefix -> (prediction state, output); a popped hypothesis's
+    # parent was popped before it, so its state is always here
+    cache = {(): model.prediction.step(model.prediction.initial_state(), None)}
+    kept = [Hypothesis()]
+    sentinel = (model.num_labels,)
+    seq = itertools.count()
     for t in range(enc_outputs.shape[0]):
-        active = {
-            toks: Hypothesis(
-                tokens=h.tokens,
-                log_prob=h.log_prob,
-                pred_state=h.pred_state,
-                pred_out=h.pred_out,
-                emit_frames=h.emit_frames,
-                frame_emissions=0,
-            )
-            for toks, h in kept.items()
-        }
+        active, heap = {}, []
+
+        def push(hyp):
+            entry = _merge(active, hyp)
+            # pop order: higher score, then lower token ids, with an
+            # extension ahead of its own prefix (the sentinel num_labels
+            # exceeds every token id); seq keeps hypotheses out of equal keys
+            heapq.heappush(heap, (-entry.log_prob, entry.tokens + sentinel, next(seq), entry))
+
+        for h in kept:  # blank-terminated, so frame_emissions is 0
+            push(h)
         finished = {}
         pops = 0
         max_pops = cfg.beam_width * cfg.max_symbols_per_frame + len(active)
         while active and pops < max_pops:
+            # skip stale entries: a merge replaced their hypothesis, or popped it
+            while active.get(heap[0][3].tokens) is not heap[0][3]:
+                heapq.heappop(heap)
+            hyp = heap[0][3]
             if len(finished) >= cfg.beam_width:
                 bar = sorted(h.log_prob for h in finished.values())[-cfg.beam_width]
-                if bar >= _best(active).log_prob:
+                if bar >= hyp.log_prob:
                     break
-            hyp = _best(active)
+            heapq.heappop(heap)
             del active[hyp.tokens]
             pops += 1
-            logp = model.joint_log_probs_row(enc_outputs[t], hyp.pred_out)
-            blank_child = Hypothesis(
-                tokens=hyp.tokens,
-                log_prob=hyp.log_prob + float(logp[BLANK]),
-                pred_state=hyp.pred_state,
-                pred_out=hyp.pred_out,
-                emit_frames=hyp.emit_frames,
-            )
-            _merge(finished, blank_child)
+            if hyp.tokens not in cache:
+                cache[hyp.tokens] = model.prediction.step(cache[hyp.tokens[:-1]][0], hyp.tokens[-1])
+            logp = model.joint_log_probs_row(enc_outputs[t], cache[hyp.tokens][1])
+            lp = logp.tolist()
+            _merge(finished, Hypothesis(
+                tokens=hyp.tokens, log_prob=hyp.log_prob + lp[BLANK], emit_frames=hyp.emit_frames
+            ))
             if hyp.frame_emissions >= cfg.max_symbols_per_frame:
                 continue
             order = np.argsort(-logp[1:], kind="stable")[:beam_k] + 1
-            for k in order:
-                k = int(k)
-                state, out = model.prediction.step(hyp.pred_state, k)
-                child = Hypothesis(
+            for k in order.tolist():
+                push(Hypothesis(
                     tokens=hyp.tokens + (k,),
-                    log_prob=hyp.log_prob + float(logp[k]),
-                    pred_state=state,
-                    pred_out=out,
+                    log_prob=hyp.log_prob + lp[k],
                     emit_frames=hyp.emit_frames + (t + 1,),
                     frame_emissions=hyp.frame_emissions + 1,
-                )
-                _merge(active, child)
-        ranked = sorted(
+                ))
+        kept = sorted(
             finished.values(), key=lambda h: (-h.log_prob, h.tokens)
         )[: cfg.beam_width]
-        kept = {h.tokens: h for h in ranked}
-    nbest = sorted(kept.values(), key=lambda h: (-h.log_prob, h.tokens))
+    nbest = [replace(h, pred_state=cache[h.tokens][0], pred_out=cache[h.tokens][1]) for h in kept]
     return nbest[0], nbest
 
 

@@ -3,7 +3,11 @@ import os
 import numpy as np
 import pytest
 
+from transducerkit import cli as cli_mod
+from transducerkit import train as train_mod
 from transducerkit.cli import main
+from transducerkit.data import load_split
+from transducerkit.decode import alignment_delay, decode
 
 TASK_SPEC = """
 task.num_labels = 6
@@ -208,3 +212,36 @@ class TestErrors:
         assert rc == 0
         dumped = (out_dir / "config.effective.cfg").read_text()
         assert "train.epochs = 0" in dumped
+
+
+
+class TestSweepTau:
+    def test_decodes_each_test_utterance_once(self, tmp_path, corpus_dir, capsys, monkeypatch):
+        calls = []
+
+        def counting_decode(model, enc, cfg):
+            hyp = decode(model, enc, cfg)
+            calls.append((model, enc, cfg, hyp))
+            return hyp
+
+        monkeypatch.setattr(cli_mod, "decode", counting_decode)
+        monkeypatch.setattr(train_mod, "decode", counting_decode)
+        cfg = run_config(tmp_path, corpus_dir, "train.epochs = 3\n")
+        assert main(["sweep-tau", "--config", str(cfg), "--tau", "0", "--seeds", "1"]) == 0
+        mean_delay = capsys.readouterr().out.splitlines()[-1].split("\t")[2]
+        test_utts = load_split(str(corpus_dir / "test"))
+        assert len(calls) == len(test_utts)
+
+        # the delay as sweep-tau computed it before, from a second decode
+        delays = []
+        for utt, (model, enc, dcfg, hyp) in zip(test_utts, calls):
+            again = decode(model, enc, dcfg)
+            assert (again.tokens, again.emit_frames) == (hyp.tokens, hyp.emit_frames)
+            scaled_ref = [(f + 2) // 3 for f in utt.ref_frames]
+            try:
+                delays.append(
+                    alignment_delay(list(again.tokens), list(again.emit_frames), utt.labels, scaled_ref)
+                )
+            except ValueError:
+                continue
+        assert mean_delay == f"{float(np.mean(delays)):.4f}"

@@ -1,10 +1,15 @@
+import heapq
+import itertools
 import math
+import types
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from transducerkit import decode as decode_mod
 from transducerkit.decode import (
+    BLANK,
     DecodeConfig,
     Hypothesis,
     alignment_delay,
@@ -69,6 +74,115 @@ def frames(t):
     out = np.zeros((t, 1))
     out[:, 0] = np.arange(t)
     return out
+
+
+def _ref_merge(pool, hyp):
+    old = pool.get(hyp.tokens)
+    if old is None:
+        pool[hyp.tokens] = hyp
+        return
+    merged_score = float(np.logaddexp(old.log_prob, hyp.log_prob))
+    keep = old if old.log_prob >= hyp.log_prob else hyp
+    pool[hyp.tokens] = Hypothesis(
+        tokens=keep.tokens,
+        log_prob=merged_score,
+        pred_state=keep.pred_state,
+        pred_out=keep.pred_out,
+        emit_frames=keep.emit_frames,
+        frame_emissions=keep.frame_emissions,
+    )
+
+
+def _ref_best(pool):
+    # lower token ids win exact score ties, so decoding is deterministic
+    return max(pool.values(), key=lambda h: (h.log_prob, tuple(-t for t in h.tokens)))
+
+
+def reference_beam_decode(model, enc_outputs, cfg):
+    """The eager beam search beam_decode replaced, kept as its oracle: every
+    popped hypothesis steps the prediction network for all beam_k children,
+    and the best active hypothesis is found by a linear scan."""
+    beam_k = min(cfg.beam_width, model.num_labels - 1)
+    state, out = model.prediction.step(model.prediction.initial_state(), None)
+    kept = {(): Hypothesis(pred_state=state, pred_out=out)}
+    for t in range(enc_outputs.shape[0]):
+        active = {
+            toks: Hypothesis(
+                tokens=h.tokens,
+                log_prob=h.log_prob,
+                pred_state=h.pred_state,
+                pred_out=h.pred_out,
+                emit_frames=h.emit_frames,
+                frame_emissions=0,
+            )
+            for toks, h in kept.items()
+        }
+        finished = {}
+        pops = 0
+        max_pops = cfg.beam_width * cfg.max_symbols_per_frame + len(active)
+        while active and pops < max_pops:
+            if len(finished) >= cfg.beam_width:
+                bar = sorted(h.log_prob for h in finished.values())[-cfg.beam_width]
+                if bar >= _ref_best(active).log_prob:
+                    break
+            hyp = _ref_best(active)
+            del active[hyp.tokens]
+            pops += 1
+            logp = model.joint_log_probs_row(enc_outputs[t], hyp.pred_out)
+            blank_child = Hypothesis(
+                tokens=hyp.tokens,
+                log_prob=hyp.log_prob + float(logp[BLANK]),
+                pred_state=hyp.pred_state,
+                pred_out=hyp.pred_out,
+                emit_frames=hyp.emit_frames,
+            )
+            _ref_merge(finished, blank_child)
+            if hyp.frame_emissions >= cfg.max_symbols_per_frame:
+                continue
+            order = np.argsort(-logp[1:], kind="stable")[:beam_k] + 1
+            for k in order:
+                k = int(k)
+                state, out = model.prediction.step(hyp.pred_state, k)
+                child = Hypothesis(
+                    tokens=hyp.tokens + (k,),
+                    log_prob=hyp.log_prob + float(logp[k]),
+                    pred_state=state,
+                    pred_out=out,
+                    emit_frames=hyp.emit_frames + (t + 1,),
+                    frame_emissions=hyp.frame_emissions + 1,
+                )
+                _ref_merge(active, child)
+        ranked = sorted(
+            finished.values(), key=lambda h: (-h.log_prob, h.tokens)
+        )[: cfg.beam_width]
+        kept = {h.tokens: h for h in ranked}
+    nbest = sorted(kept.values(), key=lambda h: (-h.log_prob, h.tokens))
+    return nbest[0], nbest
+
+
+def assert_same_nbest(got, want):
+    """Equal token lists, emission frames, bitwise scores and pred_out bytes."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tokens == w.tokens
+        assert g.emit_frames == w.emit_frames
+        assert g.log_prob.hex() == w.log_prob.hex()
+        assert np.asarray(g.pred_out).tobytes() == np.asarray(w.pred_out).tobytes()
+
+
+def random_rigged_case(rng):
+    """A tie-heavy logit table over prefixes up to length 3."""
+    k = int(rng.integers(2, 5))
+    t_len = int(rng.integers(1, 4))
+    values = np.array([0.0, 0.0, 1.0, -60.0, 60.0, -0.5])
+    prefixes = [p for n in range(4) for p in itertools.product(range(1, k), repeat=n)]
+    table = {(t, p): rng.choice(values, size=k) for t in range(t_len) for p in prefixes}
+    cfg = DecodeConfig(
+        mode="beam",
+        beam_width=int(rng.integers(1, 5)),
+        max_symbols_per_frame=int(rng.integers(1, 3)),
+    )
+    return RiggedModel(k, table), frames(t_len), cfg
 
 
 class TestGreedy:
@@ -208,6 +322,77 @@ class TestBeam:
         g = decode(model, enc, DecodeConfig(mode="greedy"))
         b = decode(model, enc, DecodeConfig(mode="beam", beam_width=2))
         assert isinstance(g, Hypothesis) and isinstance(b, Hypothesis)
+
+    def test_matches_eager_oracle_on_tiny_model(self):
+        for seed in range(3):
+            model = tiny_model(num_labels=6, seed=seed + 20)
+            enc, _ = model.encode(np.random.default_rng(seed).normal(size=(15, 3)))
+            for width in (1, 3, 10):
+                for max_symbols in (1, 3):
+                    cfg = DecodeConfig(mode="beam", beam_width=width, max_symbols_per_frame=max_symbols)
+                    best, nbest = beam_decode(model, enc, cfg)
+                    _, want = reference_beam_decode(model, enc, cfg)
+                    assert_same_nbest(nbest, want)
+                    assert best is nbest[0]
+
+    def test_matches_eager_oracle_on_rigged_fuzz(self, monkeypatch):
+        # A merge that leaves a score unchanged leaves a stale heap entry
+        # whose (score, tokens) key a later, different hypothesis can repeat;
+        # only the entry counter keeps heapq from comparing the two. Count
+        # such pushes: the fuzz must reach them.
+        equal_keys = []
+
+        def checking_push(heap, entry):
+            if any(e[:2] == entry[:2] and e[-1] != entry[-1] for e in heap):
+                equal_keys.append(entry[1])
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(
+            decode_mod, "heapq", types.SimpleNamespace(heappush=checking_push, heappop=heapq.heappop)
+        )
+        rng = np.random.default_rng(9)
+        for _ in range(3000):
+            model, enc, cfg = random_rigged_case(rng)
+            _, nbest = beam_decode(model, enc, cfg)
+            _, want = reference_beam_decode(model, enc, cfg)
+            assert_same_nbest(nbest, want)
+        assert equal_keys
+
+    def test_steps_each_prefix_once(self):
+        model = tiny_model(num_labels=6, seed=31)
+        enc, _ = model.encode(np.random.default_rng(32).normal(size=(15, 3)))
+        cfg = DecodeConfig(mode="beam", beam_width=10, max_symbols_per_frame=3)
+        step, joint_row = model.prediction.step, model.joint_log_probs_row
+
+        def run(decoder):
+            prefix_of = {}  # id(state) -> token prefix it encodes
+            states, stepped, pops = [], [], []
+
+            def counting_step(state, token=None):
+                prefix = () if token is None else prefix_of[id(state)] + (int(token),)
+                new_state, out = step(state, token)
+                states.append(new_state)  # keeps ids unique
+                prefix_of[id(new_state)] = prefix
+                stepped.append(prefix)
+                return new_state, out
+
+            def counting_row(enc_vec, pred_out):
+                pops.append(1)
+                return joint_row(enc_vec, pred_out)
+
+            model.prediction.step = counting_step
+            model.joint_log_probs_row = counting_row
+            try:
+                decoder(model, enc, cfg)
+            finally:
+                del model.prediction.step, model.joint_log_probs_row
+            return stepped, len(pops)
+
+        stepped, pops = run(beam_decode)
+        assert len(set(stepped)) == len(stepped)
+        assert len(stepped) <= pops + 1
+        eager, _ = run(reference_beam_decode)  # the check can tell eager stepping
+        assert len(set(eager)) < len(eager)
 
 
 class TestWer:
