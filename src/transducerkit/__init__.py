@@ -35,10 +35,7 @@ from .tensor import (
     grad_check,
     layer_norm,
     load_tensor,
-    matmul,
-    matvec,
     save_tensor,
-    set_default_dtype,
     sigmoid,
     softmax,
 )

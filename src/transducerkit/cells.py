@@ -1,22 +1,30 @@
-"""Layer-normalized recurrent cells with hand-written backward passes.
+"""Layer-normalized recurrent cells with fused gates and hand-written backward passes.
 
 Two cells: an LSTM with per-gate layer norm, a normalized cell output, and a
 linear projection feeding both the layer above and the recurrence; and a GRU
-with per-gate layer norm and no projection. Forward steps return a cache that
-the matching backward consumes; parameter gradients accumulate into the
-owning ParamRegistry buffers.
+with per-gate layer norm and no projection.
+
+Each cell stacks its G gates (4 LSTM, 3 GRU) into one ``wx (G*H, in)``,
+``wh (G*H, rec)``, ``b``, ``ln_gain`` and ``ln_bias``, sigmoid gates first and
+the tanh candidate last: LSTM rows are in, forget, out, candidate; GRU rows
+are update, reset, candidate. Per-gate layer norm normalizes a ``(..., G, H)``
+view over its last axis.
+
+``step(x, prev)`` advances every row of ``x`` by one step from the matching
+row of ``prev`` (rows are independent: one frame, or a whole depth column).
+``forward(X, state0)`` runs the recurrence over a sequence, projecting all
+inputs with one matrix product before the time loop. ``backward`` reverses
+either, leaving only the recurrent products inside its time loop; parameter
+gradients accumulate into the owning ParamRegistry buffers as one matrix
+product per weight.
 """
 
 import numpy as np
 
-from .tensor import (
-    DTYPE,
-    layer_norm_bwd,
-    layer_norm_fwd,
-    sigmoid,
-)
+from .tensor import DTYPE, layer_norm_bwd, layer_norm_fwd, sigmoid
 
 LN_EPSILON = 1e-5
+_SEQUENCE = "sequence"  # tags a forward() cache; step() caches are plain tuples
 
 
 class CellState:
@@ -29,41 +37,115 @@ class CellState:
         self.c = c
 
 
-def _uniform_init(rng, shape, fanin):
+def _fill_uniform(rng, out, fanin):
+    """Fill ``out`` with the values ``rng.uniform(-1/sqrt(fanin), 1/sqrt(fanin))``
+    would return for its shape (same draws, same rounding), without a copy."""
     limit = 1.0 / np.sqrt(fanin)
-    return rng.uniform(-limit, limit, size=shape).astype(DTYPE)
+    rng.random(out=out)
+    out *= 2.0 * limit
+    out -= limit
+    return out
 
 
-class _GateBlock:
-    """One gate's parameters: input/recurrent weights, bias, LN gain/bias."""
-
-    __slots__ = ("wx", "wh", "b", "gain", "bias")
-
-    def __init__(self, reg, prefix, in_dim, rec_dim, out_dim, rng, bias_init=0.0, ln_bias_init=0.0):
-        self.wx = reg.add(prefix + ".wx", _uniform_init(rng, (out_dim, in_dim), in_dim))
-        self.wh = reg.add(prefix + ".wh", _uniform_init(rng, (out_dim, rec_dim), rec_dim))
-        self.b = reg.add(prefix + ".b", np.full(out_dim, bias_init, dtype=DTYPE))
-        self.gain = reg.add(prefix + ".ln_gain", np.ones(out_dim, dtype=DTYPE))
-        self.bias = reg.add(prefix + ".ln_bias", np.full(out_dim, ln_bias_init, dtype=DTYPE))
-
-    def pre(self, x, h_prev):
-        return self.wx.value @ x + self.wh.value @ h_prev + self.b.value
-
-    def norm(self, a):
-        return layer_norm_fwd(a, self.gain.value, self.bias.value, LN_EPSILON)
-
-    def backward(self, d_s, ln_cache, x, h_prev):
-        """From the gradient at the normalized pre-activation back to inputs."""
-        d_a, d_gain, d_bias = layer_norm_bwd(d_s, self.gain.value, ln_cache)
-        self.gain.grad += d_gain
-        self.bias.grad += d_bias
-        self.wx.grad += np.outer(d_a, x)
-        self.wh.grad += np.outer(d_a, h_prev)
-        self.b.grad += d_a
-        return self.wx.value.T @ d_a, self.wh.value.T @ d_a
+def _uniform_init(rng, shape, fanin):
+    return _fill_uniform(rng, np.empty(shape, dtype=DTYPE), fanin)
 
 
-class LnLstmCell:
+def _rows2(a):
+    """View of a single row or a block of rows as a 2-D block."""
+    return a.reshape(-1, a.shape[-1])
+
+
+class _FusedCell:
+    """Stacked gate parameters plus the sequence drivers shared by both cells.
+
+    Subclasses provide ``_rows(xw, x, prev)`` (one step from the input
+    projection ``xw = x @ wx.T + b``), ``_chain(d_h, d_c, cache)`` (the
+    per-row backward up to the gate pre-activations) and ``_finish(grads,
+    cache)`` (parameter gradients and the input gradient). Some parameters
+    are read through views taken at construction (stacked gains and biases,
+    GRU row blocks); they stay valid because parameters change in place.
+    """
+
+    def _add_gates(self, reg, prefix, in_dim, rec_dim, rng, draw_rows):
+        """Register the stacked gate parameters. ``draw_rows`` gives each
+        gate's row block in the order the gates draw from ``rng``."""
+        H = self.hidden
+        G = len(draw_rows)
+        wx = np.empty((G * H, in_dim), dtype=DTYPE)
+        wh = np.empty((G * H, rec_dim), dtype=DTYPE)
+        for g in draw_rows:
+            _fill_uniform(rng, wx[g * H : (g + 1) * H], in_dim)
+            _fill_uniform(rng, wh[g * H : (g + 1) * H], rec_dim)
+        self.wx = reg.add(prefix + ".wx", wx)
+        self.wh = reg.add(prefix + ".wh", wh)
+        self.b = reg.add(prefix + ".b", np.zeros(G * H, dtype=DTYPE))
+        self.ln_gain = reg.add(prefix + ".ln_gain", np.ones(G * H, dtype=DTYPE))
+        self.ln_bias = reg.add(prefix + ".ln_bias", np.zeros(G * H, dtype=DTYPE))
+        self._gain = self.ln_gain.value.reshape(G, H)
+        self._bias = self.ln_bias.value.reshape(G, H)
+
+    def _accumulate(self, d_a, d_s, vhat, x):
+        """Gradients of wx, b and the gate layer norms; returns 2-D d_a."""
+        d_a = _rows2(d_a)
+        d_s = d_s.reshape(d_a.shape)
+        self.wx.grad += d_a.T @ _rows2(x)
+        self.b.grad += d_a.sum(axis=0)
+        self.ln_gain.grad += (d_s * vhat.reshape(d_a.shape)).sum(axis=0)
+        self.ln_bias.grad += d_s.sum(axis=0)
+        return d_a
+
+    def step(self, x, prev):
+        """One step for each row of ``x``; returns (CellState, cache)."""
+        if x.shape[-1] != self.input_dim:
+            raise ValueError(f"{self.state_kind} input dim {x.shape[-1]} != {self.input_dim}")
+        return self._rows(x @ self.wx.value.T + self.b.value, x, prev)
+
+    def forward(self, xs, state0):
+        """Run the recurrence over ``xs (T, input_dim)`` from ``state0``.
+
+        Returns (CellState of (T, .) outputs, cache for backward)."""
+        if xs.shape[-1] != self.input_dim:
+            raise ValueError(f"{self.state_kind} input dim {xs.shape[-1]} != {self.input_dim}")
+        T = xs.shape[0]
+        xw = xs @ self.wx.value.T + self.b.value
+        # Row 0 holds state0; each step writes its state into the next row.
+        hs = np.empty((T + 1, self.out_dim), dtype=DTYPE)
+        hs[0] = state0.h
+        cs = None
+        if state0.c is not None:
+            cs = np.empty((T + 1, self.hidden), dtype=DTYPE)
+            cs[0] = state0.c
+        state = CellState(hs[0], None if cs is None else cs[0])
+        steps = []
+        for t in range(T):
+            state, cache = self._rows(xw[t], xs[t], state, hs[t + 1], None if cs is None else cs[t + 1])
+            steps.append(cache)
+        return CellState(hs[1:], None if cs is None else cs[1:]), (_SEQUENCE, xs, hs, cs, steps)
+
+    def backward(self, d_h, d_c, cache):
+        """Reverse of step() or forward(). Returns (d_x, d_h_prev, d_c_prev):
+        per row for a step cache; for a forward cache, d_x per frame and the
+        gradients on ``state0``. ``d_c`` may be None (no memory gradient)."""
+        if cache is None:
+            raise ValueError(f"{self.state_kind} backward called without a forward cache")
+        if cache[0] is not _SEQUENCE:
+            d_h_prev, d_c_prev, grads = self._chain(d_h, d_c, cache)
+            return self._finish(grads, cache), d_h_prev, d_c_prev
+        _, xs, hs, cs, steps = cache
+        grads = [None] * len(steps)
+        d_h_prev, d_c_prev = 0.0, None
+        for t in range(len(steps) - 1, -1, -1):
+            if d_c is not None:
+                d_c_prev = d_c[t] if d_c_prev is None else d_c_prev + d_c[t]
+            d_h_prev, d_c_prev, grads[t] = self._chain(d_h[t] + d_h_prev, d_c_prev, steps[t])
+        # Every cache field but (x, h_prev, c_prev) stacked over frames.
+        stacked = (xs, hs[:-1], None if cs is None else cs[:-1])
+        stacked += tuple(np.array(field) for field in list(zip(*steps))[3:])
+        return self._finish(tuple(np.array(g) for g in zip(*grads)), stacked), d_h_prev, d_c_prev
+
+
+class LnLstmCell(_FusedCell):
     """Layer-normalized LSTM with a projection layer.
 
     Gates read the input and the *projected* previous output; the memory
@@ -72,6 +154,7 @@ class LnLstmCell:
     """
 
     state_kind = "lstm"
+    gates = ("in", "forget", "out", "cand")  # stacked row order
 
     def __init__(self, reg, prefix, input_dim, hidden, proj, rng):
         if proj > hidden:
@@ -79,15 +162,14 @@ class LnLstmCell:
         self.input_dim = input_dim
         self.hidden = hidden
         self.proj = proj
+        # Gates draw in, forget, cand, out, as the per-gate layout did, so a
+        # seed gives the same initial values; rows put the sigmoid gates first.
+        self._add_gates(reg, prefix, input_dim, proj, rng, draw_rows=(0, 1, 3, 2))
         # Forget bias +1 goes on both b and the LN bias: a constant vector
         # added inside LN is removed by mean-centering, so only the LN bias
         # actually shifts the gate.
-        self.g_in = _GateBlock(reg, prefix + ".in_gate", input_dim, proj, hidden, rng)
-        self.g_forget = _GateBlock(
-            reg, prefix + ".forget_gate", input_dim, proj, hidden, rng, bias_init=1.0, ln_bias_init=1.0
-        )
-        self.g_cand = _GateBlock(reg, prefix + ".cell_cand", input_dim, proj, hidden, rng)
-        self.g_out = _GateBlock(reg, prefix + ".out_gate", input_dim, proj, hidden, rng)
+        self.b.value[hidden : 2 * hidden] = 1.0
+        self.ln_bias.value[hidden : 2 * hidden] = 1.0
         self.cell_gain = reg.add(prefix + ".cell_ln_gain", np.ones(hidden, dtype=DTYPE))
         self.cell_bias = reg.add(prefix + ".cell_ln_bias", np.zeros(hidden, dtype=DTYPE))
         self.w_proj = reg.add(prefix + ".w_proj", _uniform_init(rng, (proj, hidden), hidden))
@@ -95,115 +177,113 @@ class LnLstmCell:
     def initial_state(self):
         return CellState(np.zeros(self.proj, dtype=DTYPE), np.zeros(self.hidden, dtype=DTYPE))
 
-    def step(self, x, prev):
-        """One forward step; returns (CellState, cache)."""
-        if x.shape[0] != self.input_dim:
-            raise ValueError(f"lstm input dim {x.shape[0]} != {self.input_dim}")
+    def _rows(self, xw, x, prev, out=None, c_out=None):
         h_prev, c_prev = prev.h, prev.c
-        s_i, ln_i = self.g_in.norm(self.g_in.pre(x, h_prev))
-        s_f, ln_f = self.g_forget.norm(self.g_forget.pre(x, h_prev))
-        s_c, ln_c = self.g_cand.norm(self.g_cand.pre(x, h_prev))
-        s_o, ln_o = self.g_out.norm(self.g_out.pre(x, h_prev))
-        gi = sigmoid(s_i)
-        gf = sigmoid(s_f)
-        go = sigmoid(s_o)
-        cand = np.tanh(s_c)
-        c = gf * c_prev + gi * cand
-        cn, ln_cell = layer_norm_fwd(c, self.cell_gain.value, self.cell_bias.value, LN_EPSILON)
+        a = h_prev @ self.wh.value.T
+        a += xw
+        s, (vhat, inv_sigma) = layer_norm_fwd(a.reshape(a.shape[:-1] + (4, self.hidden)),
+                                              self._gain, self._bias, LN_EPSILON)
+        sg = sigmoid(s[..., :3, :])
+        cand = np.tanh(s[..., 3, :])
+        c = np.add(sg[..., 1, :] * c_prev, sg[..., 0, :] * cand, out=c_out)
+        cn, (vhat_c, inv_c) = layer_norm_fwd(c, self.cell_gain.value, self.cell_bias.value, LN_EPSILON)
         tc = np.tanh(cn)
-        q = go * tc
-        h = self.w_proj.value @ q
-        cache = (x, h_prev, c_prev, gi, gf, go, cand, ln_i, ln_f, ln_c, ln_o, ln_cell, tc, q)
-        return CellState(h, c), cache
+        h = np.matmul(sg[..., 2, :] * tc, self.w_proj.value.T, out=out)
+        return CellState(h, c), (x, h_prev, c_prev, sg, cand, vhat, inv_sigma, vhat_c, inv_c, tc)
 
-    def backward(self, d_h, d_c, cache):
-        """Reverse of step. Returns (d_x, d_h_prev, d_c_prev)."""
-        if cache is None:
-            raise ValueError("lstm backward called without a forward cache")
-        x, h_prev, c_prev, gi, gf, go, cand, ln_i, ln_f, ln_c, ln_o, ln_cell, tc, q = cache
-        d_q = self.w_proj.value.T @ d_h
-        self.w_proj.grad += np.outer(d_h, q)
-        d_go = d_q * tc
-        d_cn = d_q * go * (1.0 - tc * tc)
-        d_c_from_q, d_gain, d_bias = layer_norm_bwd(d_cn, self.cell_gain.value, ln_cell)
-        self.cell_gain.grad += d_gain
-        self.cell_bias.grad += d_bias
-        d_ct = d_c_from_q + (d_c if d_c is not None else 0.0)
-        d_gf = d_ct * c_prev
-        d_c_prev = d_ct * gf
-        d_gi = d_ct * cand
-        d_cand = d_ct * gi
+    def _chain(self, d_h, d_c, cache):
+        _, _, c_prev, sg, cand, vhat, inv_sigma, vhat_c, inv_c, tc = cache
+        d_q = d_h @ self.w_proj.value
+        d_cn = d_q * sg[..., 2, :] * (1.0 - tc * tc)
+        d_ct = layer_norm_bwd(d_cn, self.cell_gain.value, (vhat_c, inv_c))[0]
+        if d_c is not None:
+            d_ct += d_c
+        d_s = np.empty_like(vhat)
+        d_s[..., 0, :] = d_ct * cand
+        d_s[..., 1, :] = d_ct * c_prev
+        d_s[..., 2, :] = d_q * tc
+        d_s[..., :3, :] *= sg * (1.0 - sg)
+        d_s[..., 3, :] = d_ct * sg[..., 0, :] * (1.0 - cand * cand)
+        d_a = layer_norm_bwd(d_s, self._gain, (vhat, inv_sigma))[0]
+        d_a = d_a.reshape(d_a.shape[:-2] + (-1,))
+        return d_a @ self.wh.value, d_ct * sg[..., 1, :], (d_a, d_s, d_cn, d_h)
 
-        d_si = d_gi * gi * (1.0 - gi)
-        d_sf = d_gf * gf * (1.0 - gf)
-        d_so = d_go * go * (1.0 - go)
-        d_sc = d_cand * (1.0 - cand * cand)
-        dx_i, dh_i = self.g_in.backward(d_si, ln_i, x, h_prev)
-        dx_f, dh_f = self.g_forget.backward(d_sf, ln_f, x, h_prev)
-        dx_c, dh_c = self.g_cand.backward(d_sc, ln_c, x, h_prev)
-        dx_o, dh_o = self.g_out.backward(d_so, ln_o, x, h_prev)
-        d_x = dx_i + dx_f + dx_c + dx_o
-        d_h_prev = dh_i + dh_f + dh_c + dh_o
-        return d_x, d_h_prev, d_c_prev
+    def _finish(self, grads, cache):
+        d_a, d_s, d_cn, d_h = grads
+        x, h_prev, _, sg, _, vhat, _, vhat_c, _, tc = cache
+        d_a2 = self._accumulate(d_a, d_s, vhat, x)
+        self.wh.grad += d_a2.T @ _rows2(h_prev)
+        self.w_proj.grad += _rows2(d_h).T @ _rows2(sg[..., 2, :] * tc)
+        d_cn = _rows2(d_cn)
+        self.cell_gain.grad += (d_cn * _rows2(vhat_c)).sum(axis=0)
+        self.cell_bias.grad += d_cn.sum(axis=0)
+        return d_a @ self.wx.value
 
     @property
     def out_dim(self):
         return self.proj
 
 
-class LnGruCell:
+class LnGruCell(_FusedCell):
     """Layer-normalized GRU: update/reset gates, candidate with the reset
     applied to the previous state inside the recurrent product, output
     interpolated as z*prev + (1-z)*candidate. No projection."""
 
     state_kind = "gru"
+    gates = ("update", "reset", "cand")  # stacked row order
 
     def __init__(self, reg, prefix, input_dim, hidden, rng):
         self.input_dim = input_dim
         self.hidden = hidden
-        self.g_update = _GateBlock(reg, prefix + ".update_gate", input_dim, hidden, hidden, rng)
-        self.g_reset = _GateBlock(reg, prefix + ".reset_gate", input_dim, hidden, hidden, rng)
-        self.g_cand = _GateBlock(reg, prefix + ".cand", input_dim, hidden, hidden, rng)
+        self._add_gates(reg, prefix, input_dim, hidden, rng, draw_rows=(0, 1, 2))
+        wh = self.wh.value
+        self._wh_zr, self._wh_h = wh[: 2 * hidden], wh[2 * hidden :]
 
     def initial_state(self):
         return CellState(np.zeros(self.hidden, dtype=DTYPE))
 
-    def step(self, x, prev):
-        if x.shape[0] != self.input_dim:
-            raise ValueError(f"gru input dim {x.shape[0]} != {self.input_dim}")
+    def _rows(self, xw, x, prev, out=None, c_out=None):
+        H = self.hidden
         h_prev = prev.h
-        s_z, ln_z = self.g_update.norm(self.g_update.pre(x, h_prev))
-        s_r, ln_r = self.g_reset.norm(self.g_reset.pre(x, h_prev))
-        z = sigmoid(s_z)
-        r = sigmoid(s_r)
-        rh = r * h_prev
-        s_h, ln_h = self.g_cand.norm(self.g_cand.pre(x, rh))
-        hbar = np.tanh(s_h)
-        h = z * h_prev + (1.0 - z) * hbar
-        cache = (x, h_prev, z, r, rh, hbar, ln_z, ln_r, ln_h)
-        return CellState(h), cache
+        a = h_prev @ self._wh_zr.T
+        a += xw[..., : 2 * H]
+        s, (vhat_zr, inv_zr) = layer_norm_fwd(a.reshape(a.shape[:-1] + (2, H)),
+                                              self._gain[:2], self._bias[:2], LN_EPSILON)
+        zr = sigmoid(s)
+        z = zr[..., 0, :]
+        a = (zr[..., 1, :] * h_prev) @ self._wh_h.T
+        a += xw[..., 2 * H :]
+        s, (vhat_h, inv_h) = layer_norm_fwd(a, self._gain[2], self._bias[2], LN_EPSILON)
+        hbar = np.tanh(s)
+        h = np.add(z * h_prev, (1.0 - z) * hbar, out=out)
+        return CellState(h), (x, h_prev, None, zr, hbar, vhat_zr, inv_zr, vhat_h, inv_h)
 
-    def backward(self, d_h, d_c, cache):
-        """Reverse of step (d_c unused; present for a uniform cell interface)."""
-        if cache is None:
-            raise ValueError("gru backward called without a forward cache")
-        x, h_prev, z, r, rh, hbar, ln_z, ln_r, ln_h = cache
-        d_z = d_h * (h_prev - hbar)
-        d_h_prev = d_h * z
-        d_hbar = d_h * (1.0 - z)
+    def _chain(self, d_h, d_c, cache):
+        _, h_prev, _, zr, hbar, vhat_zr, inv_zr, vhat_h, inv_h = cache
+        z = zr[..., 0, :]
+        d_s_h = d_h * (1.0 - z) * (1.0 - hbar * hbar)
+        d_a_h = layer_norm_bwd(d_s_h, self._gain[2], (vhat_h, inv_h))[0]
+        d_rh = d_a_h @ self._wh_h
+        d_s_zr = np.empty_like(zr)
+        d_s_zr[..., 0, :] = d_h * (h_prev - hbar)
+        d_s_zr[..., 1, :] = d_rh * h_prev
+        d_s_zr *= zr * (1.0 - zr)
+        d_a_zr = layer_norm_bwd(d_s_zr, self._gain[:2], (vhat_zr, inv_zr))[0]
+        d_a_zr = d_a_zr.reshape(d_a_zr.shape[:-2] + (-1,))
+        d_h_prev = d_h * z + d_rh * zr[..., 1, :] + d_a_zr @ self._wh_zr
+        return d_h_prev, None, (d_a_zr, d_a_h, d_s_zr, d_s_h)
 
-        d_sh = d_hbar * (1.0 - hbar * hbar)
-        d_x, d_rh = self.g_cand.backward(d_sh, ln_h, x, rh)
-        d_r = d_rh * h_prev
-        d_h_prev = d_h_prev + d_rh * r
-
-        d_sz = d_z * z * (1.0 - z)
-        dx_z, dh_z = self.g_update.backward(d_sz, ln_z, x, h_prev)
-        d_sr = d_r * r * (1.0 - r)
-        dx_r, dh_r = self.g_reset.backward(d_sr, ln_r, x, h_prev)
-        d_x = d_x + dx_z + dx_r
-        d_h_prev = d_h_prev + dh_z + dh_r
-        return d_x, d_h_prev, None
+    def _finish(self, grads, cache):
+        d_a_zr, d_a_h, d_s_zr, d_s_h = grads
+        x, h_prev, _, zr, _, vhat_zr, _, vhat_h, _ = cache
+        H = self.hidden
+        d_a = np.concatenate((d_a_zr, d_a_h), axis=-1)
+        d_s = np.concatenate((d_s_zr.reshape(d_a_zr.shape), d_s_h), axis=-1)
+        vhat = np.concatenate((vhat_zr.reshape(d_a_zr.shape), vhat_h), axis=-1)
+        self._accumulate(d_a, d_s, vhat, x)
+        self.wh.grad[: 2 * H] += _rows2(d_a_zr).T @ _rows2(h_prev)
+        self.wh.grad[2 * H :] += _rows2(d_a_h).T @ _rows2(zr[..., 1, :] * h_prev)
+        return d_a @ self.wx.value
 
     @property
     def out_dim(self):

@@ -246,8 +246,6 @@ def cmd_sweep_tau(args):
 
 def build_parser():
     parser = _Parser(prog="transducerkit", description=__doc__)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="cap on worker count (execution is currently serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")

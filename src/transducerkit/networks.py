@@ -15,7 +15,9 @@ Three wirings per cell family:
 Depth-cell wiring reuses the plain cells: the recurrent slot carries the
 time-cell output at the same (frame, layer), the input slot carries the
 depth output (or lookahead combination) from the layer below, and for LSTM
-the memory-cell slot carries the depth memory from the layer below.
+the memory-cell slot carries the depth memory from the layer below. All of
+these exist for every frame before a depth layer runs, so a depth layer is
+one row-parallel cell step over the whole sequence, not a time loop.
 """
 
 from dataclasses import dataclass
@@ -142,101 +144,57 @@ class SequenceNet:
         """Run the whole network over a sequence.
 
         xs: (T, input_dim) array. Returns (outputs (T, out_dim), cache).
+        Time cells run their recurrence; each depth layer is one step of
+        its cell over all T frames at once, since every slot it reads is
+        known before it runs.
         """
         xs = np.asarray(xs, dtype=DTYPE)
         if xs.ndim != 2 or xs.shape[0] == 0:
             raise ValueError("forward needs a non-empty (T, input_dim) sequence")
-        hs, time_caches = self._time_pass(xs)
-        if not self.cfg.is_trajectory:
-            return np.vstack(hs[-1]), ("stack", time_caches)
-        gs, depth_caches = self._depth_pass(hs)
-        if self.cfg.is_contextual:
-            out = self._ctx_combine(gs[-1], self.cfg.num_layers - 1)
-            return np.vstack(out), ("traj", time_caches, depth_caches, gs)
-        return np.vstack(gs[-1]), ("traj", time_caches, depth_caches, gs)
-
-    def _time_pass(self, xs):
-        T = xs.shape[0]
-        hs = []  # per layer, list of T output vectors
-        caches = []
-        cur = [xs[t] for t in range(T)]
+        cfg = self.cfg
+        hs, time_caches = [], []
+        cur = xs
         for cell in self.time_cells:
-            state = cell.initial_state()
-            outs, ccaches = [], []
-            for t in range(T):
-                state, cache = cell.step(cur[t], state)
-                outs.append(state.h)
-                ccaches.append(cache)
-            hs.append(outs)
-            caches.append(ccaches)
-            cur = outs
-        return hs, caches
-
-    def _depth_pass(self, hs):
-        cfg = self.cfg
-        T = len(hs[0])
-        out = cfg.out_dim
-        zero_in = np.zeros(out, dtype=DTYPE)
-        gs, caches = [], []
-        below = [zero_in] * T
-        below_cell = [None] * T  # depth memory cells from the layer below (LSTM)
+            state, cache = cell.forward(cur, cell.initial_state())
+            cur = state.h
+            hs.append(cur)
+            time_caches.append(cache)
+        if not cfg.is_trajectory:
+            return cur, ("stack", time_caches)
+        gs, depth_caches = [], []
+        below = np.zeros_like(cur)
+        below_c = np.zeros((len(cur), cfg.hidden), dtype=DTYPE) if cfg.cell_kind in LSTM_KINDS else None
         for l, cell in enumerate(self.depth_cells):
-            outs, ccaches, cells_out = [], [], []
-            for t in range(T):
-                if cell.state_kind == "lstm":
-                    c = below_cell[t]
-                    if c is None:
-                        c = np.zeros(cfg.hidden, dtype=DTYPE)
-                    prev = CellState(hs[l][t], c)
-                else:
-                    prev = CellState(hs[l][t])
-                st, cache = cell.step(below[t], prev)
-                outs.append(st.h)
-                cells_out.append(st.c)
-                ccaches.append(cache)
-            gs.append(outs)
-            caches.append(ccaches)
-            below_cell = cells_out
-            if l + 1 < cfg.num_layers:
-                below = self._ctx_combine(outs, l) if cfg.is_contextual else outs
-        return gs, caches
+            if l:
+                below = self._ctx_combine(gs[-1], l - 1) if cfg.is_contextual else gs[-1]
+            state, cache = cell.step(below, CellState(hs[l], below_c))
+            below_c = state.c
+            gs.append(state.h)
+            depth_caches.append(cache)
+        out = self._ctx_combine(gs[-1], cfg.num_layers - 1) if cfg.is_contextual else gs[-1]
+        return out, ("traj", time_caches, depth_caches, gs)
 
-    def _ctx_combine(self, gs, l):
-        """Lookahead combination at boundary l; frames past the end are zero."""
-        cfg = self.cfg
-        T = len(gs)
-        weights = self.ctx_weights[l]
-        out = []
-        for t in range(T):
-            acc = None
-            for d in range(cfg.tau + 1):
-                if t + d >= T:
-                    break
-                w = weights[d].value
-                term = w @ gs[t + d] if w.ndim == 2 else w * gs[t + d]
-                acc = term if acc is None else acc + term
-            out.append(acc)
+    def _ctx_combine(self, g, l):
+        """Lookahead combination at boundary l: out[t] = sum_d W_d g[t+d],
+        with frames past the end taken as zero."""
+        T = len(g)
+        out = np.zeros_like(g)
+        for d, w in enumerate(self.ctx_weights[l][:T]):
+            w = w.value
+            out[: T - d] += g[d:] @ w.T if w.ndim == 2 else g[d:] * w
         return out
 
-    def _ctx_backward(self, d_zeta, gs, l):
-        cfg = self.cfg
-        T = len(gs)
-        weights = self.ctx_weights[l]
-        d_g = [np.zeros_like(gs[0]) for _ in range(T)]
-        for t in range(T):
-            dz = d_zeta[t]
-            if dz is None:
-                continue
-            for d in range(cfg.tau + 1):
-                if t + d >= T:
-                    break
-                w = weights[d]
-                if w.value.ndim == 2:
-                    w.grad += np.outer(dz, gs[t + d])
-                    d_g[t + d] += w.value.T @ dz
-                else:
-                    w.grad += dz * gs[t + d]
-                    d_g[t + d] += w.value * dz
+    def _ctx_backward(self, d_out, g, l):
+        T = len(g)
+        d_g = np.zeros_like(g)
+        for d, w in enumerate(self.ctx_weights[l][:T]):
+            dz = d_out[: T - d]
+            if w.value.ndim == 2:
+                w.grad += dz.T @ g[d:]
+                d_g[d:] += dz @ w.value
+            else:
+                w.grad += (dz * g[d:]).sum(axis=0)
+                d_g[d:] += dz * w.value
         return d_g
 
     def backward(self, d_out, cache):
@@ -244,60 +202,23 @@ class SequenceNet:
 
         Accumulates parameter gradients; returns (T, input_dim) input grads.
         """
-        kind = cache[0]
-        if kind == "stack":
-            _, time_caches = cache
-            T = d_out.shape[0]
-            d_top = [d_out[t] for t in range(T)]
-            return self._time_backward(d_top, None, time_caches)
-        _, time_caches, depth_caches, gs = cache
-        cfg = self.cfg
-        T = d_out.shape[0]
-        if cfg.is_contextual:
-            d_g = self._ctx_backward([d_out[t] for t in range(T)], gs[-1], cfg.num_layers - 1)
+        L = self.cfg.num_layers
+        time_caches = cache[1]
+        d_top = [None] * L  # gradient on each time layer's outputs, except from the layer above
+        if cache[0] == "stack":
+            d_top[-1] = d_out
         else:
-            d_g = [d_out[t] for t in range(T)]
-        d_h_from_depth = [[None] * T for _ in range(cfg.num_layers)]
-        d_cell = [None] * T
-        for l in range(cfg.num_layers - 1, -1, -1):
-            cell = self.depth_cells[l]
-            d_x_slot = [None] * T
-            d_cell_below = [None] * T
-            for t in range(T):
-                dc = d_cell[t]
-                if dc is None and cell.state_kind == "lstm":
-                    dc = np.zeros(cfg.hidden, dtype=DTYPE)
-                d_x, d_h_slot, d_c_prev = cell.backward(d_g[t], dc, depth_caches[l][t])
-                d_x_slot[t] = d_x
-                d_h_from_depth[l][t] = d_h_slot
-                d_cell_below[t] = d_c_prev
-            d_cell = d_cell_below
-            if l > 0:
-                if cfg.is_contextual:
-                    d_g = self._ctx_backward(d_x_slot, gs[l - 1], l - 1)
-                else:
-                    d_g = d_x_slot
-        return self._time_backward(None, d_h_from_depth, time_caches)
-
-    def _time_backward(self, d_top, d_from_depth, time_caches):
-        T = len(time_caches[0])
-        L = len(self.time_cells)
-        d_next = d_top  # gradient on this layer's outputs from the layer above
+            _, _, depth_caches, gs = cache
+            d_g, d_c = d_out, None
+            for l in range(L - 1, -1, -1):
+                if self.cfg.is_contextual:
+                    d_g = self._ctx_backward(d_g, gs[l], l)
+                d_g, d_top[l], d_c = self.depth_cells[l].backward(d_g, d_c, depth_caches[l])
+        d_below = None
         for l in range(L - 1, -1, -1):
-            cell = self.time_cells[l]
-            d_h_carry = np.zeros(cell.out_dim, dtype=DTYPE)
-            d_c_carry = np.zeros(cell.hidden, dtype=DTYPE) if cell.state_kind == "lstm" else None
-            d_below = [None] * T
-            for t in range(T - 1, -1, -1):
-                d_h = d_h_carry.copy()
-                if d_next is not None:
-                    d_h += d_next[t]
-                if d_from_depth is not None:
-                    d_h += d_from_depth[l][t]
-                d_x, d_h_carry, d_c_carry = cell.backward(d_h, d_c_carry, time_caches[l][t])
-                d_below[t] = d_x
-            d_next = d_below
-        return np.vstack(d_next)
+            d_h = d_top[l] if d_below is None else (d_below if d_top[l] is None else d_top[l] + d_below)
+            d_below, _, _ = self.time_cells[l].backward(d_h, None, time_caches[l])
+        return d_below
 
     # ----- single-step path (decoding) -----
 
@@ -316,22 +237,16 @@ class SequenceNet:
         new_state = []
         cur = np.asarray(x, dtype=DTYPE)
         for cell, st in zip(self.time_cells, state):
-            st2, _ = cell.step(cur, st)
-            new_state.append(st2)
-            cur = st2.h
+            st, _ = cell.step(cur, st)
+            new_state.append(st)
+            cur = st.h
         if not self.cfg.is_trajectory:
             return new_state, cur
         out = np.zeros(self.cfg.out_dim, dtype=DTYPE)
-        below_cell = None
-        for l, cell in enumerate(self.depth_cells):
-            if cell.state_kind == "lstm":
-                c = below_cell if below_cell is not None else np.zeros(self.cfg.hidden, dtype=DTYPE)
-                prev = CellState(new_state[l].h, c)
-            else:
-                prev = CellState(new_state[l].h)
-            st, _ = cell.step(out, prev)
-            out = st.h
-            below_cell = st.c
+        below_c = np.zeros(self.cfg.hidden, dtype=DTYPE) if self.cfg.cell_kind in LSTM_KINDS else None
+        for cell, st in zip(self.depth_cells, new_state):
+            col, _ = cell.step(out, CellState(st.h, below_c))
+            out, below_c = col.h, col.c
         return new_state, out
 
 

@@ -1,11 +1,10 @@
 """Dense numeric core: activations, layer norm, parameter registry, gradient checking.
 
-Everything downstream works on contiguous row-major numpy arrays. Float64 is
-the default so finite-difference gradient checks can be run at tight
-tolerances; call ``set_default_dtype(np.float32)`` to trade precision for
-speed.
+Everything downstream works on contiguous row-major float64 numpy arrays, so
+finite-difference gradient checks can be run at tight tolerances.
 """
 
+import functools
 import struct
 
 import numpy as np
@@ -15,28 +14,12 @@ DTYPE = np.float64
 TENSOR_MAGIC = b"TKT1"
 
 
-def set_default_dtype(dtype):
-    """Set the scalar type used for newly created parameters and buffers."""
-    global DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("default dtype must be float32 or float64, got %s" % dtype)
-    DTYPE = dtype.type
-
-
 def sigmoid(x):
-    # Split by sign so neither branch exponentiates a large positive value.
-    x = np.asarray(x)
-    out = np.empty_like(x, dtype=DTYPE)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 0.5 * (1 + tanh(x/2)): exact identity, never overflows, one transcendental.
+    out = np.tanh(np.multiply(x, 0.5))
+    out += 1.0
+    out *= 0.5
     return out
-
-
-def tanh(x):
-    return np.tanh(x)
 
 
 def softmax(logits):
@@ -64,23 +47,6 @@ def softmax_inplace(buf):
     np.exp(buf, out=buf)
     buf /= np.sum(buf, axis=-1, keepdims=True)
     return buf
-
-
-def matvec(w, v):
-    """Matrix-vector product with an explicit shape contract."""
-    w = np.asarray(w)
-    v = np.asarray(v)
-    if w.ndim != 2 or v.ndim != 1 or w.shape[1] != v.shape[0]:
-        raise ValueError(f"matvec: incompatible shapes {w.shape} x {v.shape}")
-    return w @ v
-
-
-def matmul(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
 
 
 class LayerNormParams:
@@ -111,32 +77,52 @@ def layer_norm(v, p):
     return centered / sigma * p.gain + p.bias
 
 
+@functools.lru_cache(maxsize=None)
+def _mean_column(n):
+    """Read-only (n, 1) column of 1/n: ``v @ col`` is the last-axis mean
+    with kept dims, as one matrix-vector product."""
+    col = np.full((n, 1), 1.0 / n, dtype=DTYPE)
+    col.flags.writeable = False
+    return col
+
+
 def layer_norm_fwd(v, gain, bias, epsilon):
-    """Forward pass returning (output, cache) for the hand-written backward."""
-    mu = v.mean()
-    centered = v - mu
-    inv_sigma = 1.0 / np.sqrt(centered.dot(centered) / v.size + epsilon)
-    vhat = centered * inv_sigma
-    return vhat * gain + bias, (vhat, inv_sigma)
+    """Forward pass returning (output, cache) for the hand-written backward.
+
+    Statistics are taken over the last axis, so ``v`` may carry any leading
+    axes (frames, gates); ``gain`` and ``bias`` broadcast against it.
+    """
+    col = _mean_column(v.shape[-1])
+    vhat = v - v @ col
+    inv_sigma = 1.0 / np.sqrt((vhat * vhat) @ col + epsilon)
+    vhat *= inv_sigma
+    out = vhat * gain
+    out += bias
+    return out, (vhat, inv_sigma)
 
 
 def layer_norm_bwd(d_out, gain, cache):
     """Backward of layer_norm_fwd.
 
-    Returns (d_v, d_gain, d_bias). Uses the standard standardization
-    gradient with population (1/D) statistics.
+    Returns (d_v, d_gain, d_bias), the last two elementwise (sum them over
+    any leading axes for the parameter gradients). Uses the standard
+    standardization gradient with population (1/D) statistics.
     """
     vhat, inv_sigma = cache
-    d_gain = d_out * vhat
-    d_bias = d_out
+    col = _mean_column(vhat.shape[-1])
     d_vhat = d_out * gain
-    n = vhat.size
-    d_v = inv_sigma * (d_vhat - d_vhat.mean() - vhat * (d_vhat * vhat).sum() / n)
-    return d_v, d_gain, d_bias
+    d_v = d_vhat - d_vhat @ col
+    d_v -= vhat * ((d_vhat * vhat) @ col)
+    d_v *= inv_sigma
+    return d_v, d_out * vhat, d_out
 
 
 class Param:
-    """A named tensor with a same-shaped gradient buffer."""
+    """A named tensor with a same-shaped gradient buffer.
+
+    ``value`` is only ever written in place (optimizers, checkpoint loading,
+    grad_check), so views of it taken once stay current.
+    """
 
     __slots__ = ("name", "value", "grad")
 
@@ -278,14 +264,24 @@ def write_tensor(f, arr):
     f.write(arr.tobytes())
 
 
+def _read_exact(f, n, what):
+    """Read exactly ``n`` bytes of ``what`` from ``f``; a short read raises a
+    ValueError naming the file and both byte counts."""
+    data = f.read(n)
+    if len(data) != n:
+        name = getattr(f, "name", "<stream>")
+        raise ValueError(f"{name}: truncated {what}: expected {n} bytes, got {len(data)}")
+    return data
+
+
 def read_tensor(f):
-    magic = f.read(4)
+    magic = _read_exact(f, 4, "tensor magic")
     if magic != TENSOR_MAGIC:
         raise ValueError(f"bad tensor magic {magic!r}, expected {TENSOR_MAGIC!r}")
-    (rank,) = struct.unpack("<I", f.read(4))
-    shape = struct.unpack("<%dQ" % rank, f.read(8 * rank)) if rank else ()
+    (rank,) = struct.unpack("<I", _read_exact(f, 4, "tensor rank"))
+    shape = struct.unpack("<%dQ" % rank, _read_exact(f, 8 * rank, "tensor shape")) if rank else ()
     count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(f.read(8 * count), dtype="<f8", count=count)
+    data = np.frombuffer(_read_exact(f, 8 * count, "tensor payload"), dtype="<f8", count=count)
     return data.reshape(shape).astype(np.float64)
 
 

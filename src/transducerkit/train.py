@@ -10,9 +10,12 @@ import numpy as np
 from .data import make_batches
 from .decode import DecodeConfig, decode, edit_distance_wer
 from .model import ModelConfig, TransducerModel
-from .tensor import read_tensor, write_tensor
+from .tensor import _read_exact, read_tensor, write_tensor
 
 CHECKPOINT_MAGIC = b"TKC1"
+# 2: fused gate parameters (one stacked wx/wh/b/ln_gain/ln_bias per cell);
+# 1 held one parameter set per gate.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -140,7 +143,7 @@ def save_checkpoint(path, model, step=0, rng_state=None, extra=None):
     """Single-file checkpoint: magic, JSON header, then all parameters in
     tensor format. Round-trips bitwise."""
     header = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "step": int(step),
         "model": model.cfg.to_dict(),
         "rng_state": rng_state,
@@ -163,18 +166,22 @@ def load_checkpoint(path):
 
     Returns (model, header dict)."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = _read_exact(f, 4, "checkpoint magic")
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        if header.get("version") != 1:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')}")
+        (hlen,) = struct.unpack("<I", _read_exact(f, 4, "checkpoint header length"))
+        header = json.loads(_read_exact(f, hlen, "checkpoint header").decode("utf-8"))
+        version = header.get("version")
+        if version == 1:
+            raise ValueError(f"{path}: checkpoint version 1 is the pre-fusion format (one parameter "
+                             f"set per gate); this version reads only version {CHECKPOINT_VERSION}")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
         cfg = ModelConfig(**header["model"])
         model = TransducerModel(cfg)
         for _ in header["params"]:
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode()
+            (nlen,) = struct.unpack("<I", _read_exact(f, 4, "parameter name length"))
+            name = _read_exact(f, nlen, "parameter name").decode()
             value = read_tensor(f)
             if name not in model.registry:
                 raise ValueError(f"checkpoint parameter {name} not in model")

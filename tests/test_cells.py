@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scalar_oracle import GateView
 
 from transducerkit.cells import CellState, LnGruCell, LnLstmCell
 from transducerkit.tensor import ParamRegistry, grad_check, layer_norm, LayerNormParams
@@ -49,8 +50,8 @@ class TestLstmStep:
     def test_forget_gate_saturation_keeps_cell(self):
         reg, cell = make_lstm(3, 4, 2, seed=1)
         zero_params(reg)
-        force_gate(cell.g_forget, 50.0)   # f = sigmoid(50) ~ 1
-        force_gate(cell.g_in, -50.0)      # i ~ 0
+        force_gate(GateView(cell, "forget"), 50.0)   # f = sigmoid(50) ~ 1
+        force_gate(GateView(cell, "in"), -50.0)      # i ~ 0
         c0 = np.array([0.3, -0.7, 1.1, 0.05])
         prev = CellState(np.zeros(2), c0.copy())
         state, _ = cell.step(np.zeros(3), prev)
@@ -113,10 +114,10 @@ class TestLstmBackward:
         for p in reg:
             p.value[...] = 0.0
         bi, bf, bc, bo, bcell = 0.3, 0.8, -0.4, 0.6, 0.2
-        cell.g_in.bias.value[...] = bi
-        cell.g_forget.bias.value[...] = bf
-        cell.g_cand.bias.value[...] = bc
-        cell.g_out.bias.value[...] = bo
+        GateView(cell, "in").bias.value[...] = bi
+        GateView(cell, "forget").bias.value[...] = bf
+        GateView(cell, "cand").bias.value[...] = bc
+        GateView(cell, "out").bias.value[...] = bo
         cell.cell_bias.value[...] = bcell
         wp = 1.7
         cell.w_proj.value[...] = wp
@@ -139,12 +140,12 @@ class TestLstmBackward:
         assert abs(d_c_prev[0] - c1 * f) < 1e-10
         assert abs(cell.w_proj.grad[0, 0] - h1 * o * tc) < 1e-10
         assert abs(cell.cell_bias.grad[0] - h1 * wp * o * (1 - tc * tc)) < 1e-10
-        assert abs(cell.g_out.bias.grad[0] - h1 * wp * tc * o * (1 - o)) < 1e-10
-        assert abs(cell.g_forget.bias.grad[0] - c1 * c0 * f * (1 - f)) < 1e-10
-        assert abs(cell.g_in.bias.grad[0] - c1 * cand * i * (1 - i)) < 1e-10
-        assert abs(cell.g_cand.bias.grad[0] - c1 * i * (1 - cand * cand)) < 1e-10
+        assert abs(GateView(cell, "out").bias.grad[0] - h1 * wp * tc * o * (1 - o)) < 1e-10
+        assert abs(GateView(cell, "forget").bias.grad[0] - c1 * c0 * f * (1 - f)) < 1e-10
+        assert abs(GateView(cell, "in").bias.grad[0] - c1 * cand * i * (1 - i)) < 1e-10
+        assert abs(GateView(cell, "cand").bias.grad[0] - c1 * i * (1 - cand * cand)) < 1e-10
         # the scalar LN forwards only its bias, so weight gradients vanish
-        assert abs(cell.g_in.wx.grad[0, 0]) < 1e-15
+        assert abs(GateView(cell, "in").wx.grad[0, 0]) < 1e-15
         assert abs(d_x[0]) < 1e-15
 
     def test_finite_differences_many_instances(self):
@@ -182,7 +183,7 @@ class TestLstmBackward:
 class TestGruStep:
     def test_update_gate_one_keeps_state(self):
         reg, cell = make_gru(3, 4, seed=9)
-        force_gate(cell.g_update, 50.0)  # sigmoid(50) rounds to exactly 1.0
+        force_gate(GateView(cell, "update"), 50.0)  # sigmoid(50) rounds to exactly 1.0
         rng = np.random.default_rng(10)
         h0 = rng.normal(size=4)
         state, _ = cell.step(rng.normal(size=3), CellState(h0.copy()))
@@ -190,15 +191,15 @@ class TestGruStep:
 
     def test_candidate_only_path(self):
         reg, cell = make_gru(3, 4, seed=11)
-        force_gate(cell.g_update, -50.0)  # z ~ 0
-        force_gate(cell.g_reset, -50.0)   # r ~ 0
-        cell.g_cand.wx.value[...] = 0.0   # zero input weights
+        force_gate(GateView(cell, "update"), -50.0)  # z ~ 0
+        force_gate(GateView(cell, "reset"), -50.0)   # r ~ 0
+        GateView(cell, "cand").wx.value[...] = 0.0   # zero input weights
         rng = np.random.default_rng(12)
-        b_h = cell.g_cand.b.value
+        b_h = GateView(cell, "cand").b.value
         expected = np.tanh(
             layer_norm(
                 b_h,
-                LayerNormParams(cell.g_cand.gain.value, cell.g_cand.bias.value, 1e-5),
+                LayerNormParams(GateView(cell, "cand").gain.value, GateView(cell, "cand").bias.value, 1e-5),
             )
         )
         state, _ = cell.step(rng.normal(size=3), CellState(rng.normal(size=4)))

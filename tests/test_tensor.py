@@ -13,8 +13,6 @@ from transducerkit.tensor import (
     layer_norm_bwd,
     layer_norm_fwd,
     load_tensor,
-    matmul,
-    matvec,
     read_tensor,
     save_tensor,
     sigmoid,
@@ -135,30 +133,6 @@ class TestSoftmax:
 
 
 class TestMatOps:
-    def test_identity(self):
-        npt.assert_array_equal(matvec(np.eye(2), np.array([1.0, 2.0])), [1.0, 2.0])
-
-    def test_zero(self):
-        npt.assert_array_equal(matvec(np.zeros((3, 2)), np.array([5.0, -1.0])), np.zeros(3))
-
-    def test_hand_arithmetic(self):
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        npt.assert_array_equal(matvec(w, np.array([1.0, 1.0])), [3.0, 7.0])
-
-    def test_shape_errors(self):
-        with pytest.raises(ValueError):
-            matvec(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ValueError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_matmul_associativity(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            a, b, c = (rng.normal(size=(8, 8)) for _ in range(3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            npt.assert_allclose(left, right, atol=1e-10)
-
     def test_sigmoid_extremes(self):
         out = sigmoid(np.array([-800.0, 0.0, 800.0]))
         npt.assert_allclose(out, [0.0, 0.5, 1.0])
@@ -257,3 +231,13 @@ class TestTensorFormat:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             read_tensor(io.BytesIO(b"XXXX" + b"\x00" * 20))
+
+    # a (2, 3) tensor file is 4 magic + 4 rank + 16 shape + 48 payload bytes
+    @pytest.mark.parametrize("keep,expected,got", [(2, 4, 2), (6, 4, 2), (30, 48, 6)],
+                             ids=["magic", "rank", "payload"])
+    def test_truncated_file_names_path_and_bytes(self, tmp_path, keep, expected, got):
+        path = tmp_path / "cut.tkt"
+        save_tensor(path, np.zeros((2, 3)))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=f"cut.tkt.*expected {expected} bytes, got {got}"):
+            load_tensor(path)

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -155,6 +157,31 @@ class TestCheckpoint:
         path = tmp_path / "bad.tkc"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    def test_pre_fusion_version_rejected(self, tmp_path):
+        path = tmp_path / "old.tkc"
+        blob = json.dumps({"version": 1, "model": {}, "params": []}).encode()
+        path.write_bytes(b"TKC1" + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(ValueError, match="old.tkc.*pre-fusion"):
+            load_checkpoint(path)
+
+    # cut inside the magic, inside the JSON header, and 3 bytes short of the
+    # last tensor's payload
+    @pytest.mark.parametrize("cut", ["magic", "header", "payload"])
+    def test_truncated_file_names_path_and_bytes(self, tmp_path, cut):
+        model = small_model(seed=18)
+        path = tmp_path / "cut.tkc"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        last = 8 * model.registry.state_items()[-1][1].size
+        keep, expected, got = {
+            "magic": (3, 4, 3),
+            "header": (18, struct.unpack("<I", raw[4:8])[0], 10),
+            "payload": (len(raw) - 3, last, last - 3),
+        }[cut]
+        path.write_bytes(raw[:keep])
+        with pytest.raises(ValueError, match=f"cut.tkc.*expected {expected} bytes, got {got}"):
             load_checkpoint(path)
 
     def test_decode_matches_after_reload(self, tmp_path):

@@ -1,0 +1,109 @@
+"""Run every benchmark workload over a range of seeds and write their medians.
+
+    python3 tools/bench.py --label fused --seeds 101-105
+
+Runs ``perfbench/run.py`` of the checkout holding this script, unchanged, one
+process per (seed, workload), for the workloads and run length listed in
+``BENCHMARK.json``, and writes ``BENCH_<label>.json`` at the checkout root:
+per workload the median, the quartiles and every run's value of each
+end-to-end metric, the failed and attempted operation counts, and the
+fingerprint from the runs' details lines. Compare two such files only when
+they were measured on the same host.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def parse_seeds(text):
+    """"101-105" or "7,9,11" -> list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
+    return seeds
+
+
+def run_once(workload, seed, seconds):
+    """One benchmark process; returns (details, result) from its last two lines."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q = statistics.quantiles(values, n=4)
+    return q[0], q[2]
+
+
+def summarize(runs):
+    """Per-metric median, quartiles and run values of one workload's runs."""
+    metrics = {}
+    for name in runs[0]["result"]["metrics"]:
+        values = [r["result"]["metrics"][name]["value"] for r in runs]
+        finite = [v for v in values if v is not None]
+        entry = {"unit": runs[0]["result"]["metrics"][name]["unit"], "runs": values}
+        if finite:
+            entry["median"] = statistics.median(finite)
+            entry["q1"], entry["q3"] = quartiles(finite)
+        metrics[name] = entry
+    return {
+        "seeds": [r["seed"] for r in runs],
+        "correct": all(r["result"]["correct"] for r in runs),
+        "failed": sum(r["result"]["failed"] for r in runs),
+        "attempted": sum(r["result"]["attempted"] for r in runs),
+        "metrics": metrics,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True, help='e.g. "101-105" or "7,9"')
+    args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+
+    runs = {w: [] for w in workloads}
+    fingerprint = None
+    for seed in args.seeds:
+        for workload in workloads:
+            details, result = run_once(workload, seed, seconds)
+            fingerprint = dict(details["fingerprint"])
+            runs[workload].append({"seed": seed, "result": result})
+            utts = result["metrics"]["utts_per_s"]["value"]
+            print(f"{workload} seed {seed}: utts_per_s {utts:.3f} correct {result['correct']}", file=sys.stderr)
+    fingerprint.pop("seed")
+    out = {
+        "label": args.label,
+        "fingerprint": fingerprint,
+        "seconds": seconds,
+        "seeds": args.seeds,
+        "workloads": {w: summarize(runs[w]) for w in workloads},
+    }
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w") as f:
+        json.dump(out, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
