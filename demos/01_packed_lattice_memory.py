@@ -9,6 +9,8 @@ instead. This script measures both layouts and prints the modeled
 max-minibatch table that the bench-mem command produces.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from transducerkit.joint import (
@@ -17,7 +19,6 @@ from transducerkit.joint import (
     combine_broadcast_reference,
     footprint,
     max_batch,
-    reset_meter,
     sample_length_pairs,
 )
 from transducerkit.tensor import ParamRegistry
@@ -31,8 +32,11 @@ joint = JointNetwork(reg, "joint", enc_dim=6, pre_dim=6, joint_dim=4, num_labels
 enc = [rng.normal(size=(t, 6)) for t, _ in lengths]
 pre = [rng.normal(size=(u + 1, 6)) for _, u in lengths]
 
-meter = reset_meter()
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
 z, _ = joint.combine_packed(enc, pre)
+held = tracemalloc.get_traced_memory()[0] - before
+tracemalloc.stop()
 ref = combine_broadcast_reference(joint, enc, pre)
 
 print(f"sequence dims (T, U+1): {z.dims}")
@@ -42,7 +46,8 @@ worst = max(
     np.abs(z.block(n) - ref[n, :t, : u + 1]).max() for n, (t, u) in enumerate(lengths)
 )
 print(f"max |packed - broadcast| over valid cells: {worst:.2e}")
-print(f"allocation meter recorded {meter.total_bytes['z-lattice']} bytes for the packed buffer")
+print(f"measured (tracemalloc): combine_packed leaves {held} B allocated, the "
+      f"{z.data.nbytes} B packed buffer plus {held - z.data.nbytes} B of lattice index objects")
 
 spec = BatchSpec(lengths, joint_dim=4, num_labels=5)
 print(f"footprint model: packed {footprint(spec, 'packed', 'z')} B, "

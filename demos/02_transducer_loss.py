@@ -9,11 +9,11 @@ ways: the textbook chain rule (three lattice-sized tensors live at once)
 and the merged form written in place over the posterior buffer (one).
 """
 
-import math
+import tracemalloc
 
 import numpy as np
 
-from transducerkit.joint import PackedLattice, reset_meter
+from transducerkit.joint import PackedLattice
 from transducerkit.loss import (
     brute_force_loss,
     forward_backward,
@@ -42,21 +42,29 @@ print(f"max |recursion - enumeration| over 200 instances: {worst:.2e}")
 
 print()
 print("=== merged vs chain-rule gradient ===")
-p = softmax(rng.normal(scale=1.5, size=(3, 3, 4)))
-labels = [2, 3]
+p = softmax(rng.normal(scale=1.5, size=(40, 11, 200)))  # T=40, U=10, K=200
+labels = rng.integers(1, 200, size=10).tolist()
+print(f"posterior buffer: {p.nbytes} B")
 
-meter = reset_meter()
-meter.grab("logits-lattice", p.nbytes)  # the posterior buffer itself
+
+def traced_peak(fn):
+    """fn's result and its tracemalloc peak above what was live at the call."""
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    result = fn()
+    peak = tracemalloc.get_traced_memory()[1] - before
+    tracemalloc.stop()
+    return result, peak
+
+
 ws = forward_backward(PackedLattice.from_blocks([p]), [labels])
-chain = grad_logits_chain(ws, meter).data.copy()
-print(f"chain rule: peak {meter.peak_count['logits-lattice']} lattice-sized tensors live")
+chain, chain_peak = traced_peak(lambda: grad_logits_chain(ws))
+print(f"measured chain rule: peak +{chain_peak} B = {chain_peak / p.nbytes:.2f} posterior buffers")
 
-meter = reset_meter()
-meter.grab("logits-lattice", p.nbytes)
 lat = PackedLattice.from_blocks([p])
 ws = forward_backward(lat, [labels])
-merged = grad_logits_merged(ws, meter)
-print(f"merged:     peak {meter.peak_count['logits-lattice']} lattice-sized tensor live "
+merged, merged_peak = traced_peak(lambda: grad_logits_merged(ws))
+print(f"measured merged:     peak +{merged_peak} B = {merged_peak / p.nbytes:.4f} posterior buffers "
       f"(gradient overwrote the posterior buffer: {merged is lat})")
-print(f"max |merged - chain| = {np.abs(merged.data - chain).max():.2e}")
+print(f"max |merged - chain| = {np.abs(merged.data - chain.data).max():.2e}")
 print(f"per-cell gradient rows sum to {np.abs(merged.data.sum(axis=-1)).max():.2e} (softmax rows are zero-sum)")

@@ -8,10 +8,8 @@ delay against the ground-truth token boundaries.
 
 import time
 
-import numpy as np
-
 from transducerkit.data import SyntheticTaskSpec, gen_synthetic
-from transducerkit.decode import DecodeConfig, alignment_delay, decode
+from transducerkit.decode import DecodeConfig, corpus_delay, decode_corpus
 from transducerkit.model import ModelConfig, TransducerModel
 from transducerkit.networks import NetConfig
 from transducerkit.train import TrainConfig, evaluate_token_error, fit
@@ -46,21 +44,15 @@ beam_err, _ = evaluate_token_error(
 )
 print(f"token error: greedy {greedy_err:.4f}, beam-10 {beam_err:.4f}")
 
-delays = []
-for utt in corpus["test"]:
-    hyp = hyps[utt.utt_id]
-    ref_enc_frames = [(f + 2) // 3 for f in utt.ref_frames]  # raw -> 30ms frames
-    try:
-        delays.append(
-            alignment_delay(list(hyp.tokens), list(hyp.emit_frames), utt.labels, ref_enc_frames)
-        )
-    except ValueError:
-        continue
-print(f"mean emission delay vs token end: {np.mean(delays):+.2f} encoder frames")
+mean_delay, _ = corpus_delay(
+    ((u.utt_id, hyps[u.utt_id].tokens, hyps[u.utt_id].emit_frames, u.labels, u.ref_frames)
+     for u in corpus["test"]),
+    frame_divisor=3,  # raw 10ms frames -> stacked 30ms encoder frames
+)
+print(f"mean emission delay vs token end: {mean_delay:+.2f} encoder frames")
 
 utt = corpus["test"][0]
-enc, _ = model.encode(utt.features)
-hyp = decode(model, enc, DecodeConfig(mode="beam", beam_width=10))
+hyp = decode_corpus(model, [utt], DecodeConfig(mode="beam", beam_width=10))[utt.utt_id]
 print(f"\nsample decode ({utt.utt_id}):")
 print(f"  reference  {utt.labels}")
 print(f"  hypothesis {list(hyp.tokens)} at frames {list(hyp.emit_frames)}")

@@ -14,6 +14,8 @@ from .decode import (
     Hypothesis,
     alignment_delay,
     beam_decode,
+    corpus_delay,
+    decode_corpus,
     edit_distance_wer,
     greedy_decode,
     reported_latency_ms,
@@ -30,10 +32,8 @@ from .loss import (
 from .model import ModelConfig, TransducerModel
 from .networks import NetConfig, PredictionNet, SequenceNet, stack_frames
 from .tensor import (
-    LayerNormParams,
     ParamRegistry,
     grad_check,
-    layer_norm,
     load_tensor,
     save_tensor,
     sigmoid,

@@ -22,7 +22,13 @@ from .config import (
     task_spec_from,
     train_config_from,
 )
-from .decode import DecodeConfig, alignment_delay, decode, edit_distance_wer, reported_latency_ms
+from .decode import (
+    DecodeConfig,
+    corpus_delay,
+    decode_corpus,
+    edit_distance_wer,
+    reported_latency_ms,
+)
 from .model import TransducerModel
 from .train import evaluate_token_error, fit, load_checkpoint, save_checkpoint
 
@@ -93,10 +99,10 @@ def cmd_decode(args):
     dcfg = DecodeConfig(
         mode=args.mode, beam_width=args.beam_width, max_symbols_per_frame=args.max_symbols
     )
+    hyps = decode_corpus(model, utts, dcfg)
     lines = []
     for utt in utts:
-        enc, _ = model.encode(utt.features)
-        hyp = decode(model, enc, dcfg)
+        hyp = hyps[utt.utt_id]
         toks = " ".join(str(t) for t in hyp.tokens)
         frames = " ".join(str(f) for f in hyp.emit_frames)
         lines.append(f"{utt.utt_id}\t{toks}\t{frames}")
@@ -173,45 +179,14 @@ def cmd_bench_mem(args):
 def cmd_align_delay(args):
     hyp = data_mod.read_label_file(args.hyp_with_frames)
     ref = data_mod.read_label_file(args.ref_frames)
-    div = args.frame_divisor
-    lines = ["utt\tdelay_frames"]
-    delays = []
-    for utt_id, (ref_toks, ref_frames) in sorted(ref.items()):
-        if utt_id not in hyp:
-            continue
-        hyp_toks, hyp_frames = hyp[utt_id]
-        scaled_ref = [(f + div - 1) // div for f in ref_frames]
-        try:
-            d = alignment_delay(hyp_toks, hyp_frames, ref_toks, scaled_ref)
-        except ValueError:
-            continue
-        delays.append(d)
-        lines.append(f"{utt_id}\t{d:.4f}")
-    if not delays:
-        raise RuntimeError("no utterances with matched tokens")
-    lines.append(f"mean\t{float(np.mean(delays)):.4f}")
+    mean, delays = corpus_delay(
+        ((utt_id, *hyp[utt_id], *refs) for utt_id, refs in sorted(ref.items()) if utt_id in hyp),
+        args.frame_divisor,
+    )
+    lines = ["utt\tdelay_frames"] + [f"{utt_id}\t{d:.4f}" for utt_id, d in delays]
+    lines.append(f"mean\t{mean:.4f}")
     _emit(lines)
     return 0
-
-
-def mean_corpus_delay(model, utts, hyps):
-    """Average per-utterance alignment delays of already decoded hypotheses
-    ({utt_id: Hypothesis}, as evaluate_token_error returns them), mapping raw
-    ground-truth frames onto encoder frames."""
-    div = model.cfg.frame_stack
-    delays = []
-    for utt in utts:
-        hyp = hyps[utt.utt_id]
-        scaled_ref = [(f + div - 1) // div for f in utt.ref_frames]
-        try:
-            delays.append(
-                alignment_delay(list(hyp.tokens), list(hyp.emit_frames), utt.labels, scaled_ref)
-            )
-        except ValueError:
-            continue
-    if not delays:
-        raise RuntimeError("no utterances with matched tokens")
-    return float(np.mean(delays))
 
 
 def cmd_sweep_tau(args):
@@ -232,7 +207,11 @@ def cmd_sweep_tau(args):
             model = TransducerModel(model_config_from(run))
             fit(model, train_utts, train_config_from(run), log=_log)
             err, hyps = evaluate_token_error(model, test_utts, dcfg)
-            delay = mean_corpus_delay(model, test_utts, hyps)
+            delay, _ = corpus_delay(
+                ((u.utt_id, hyps[u.utt_id].tokens, hyps[u.utt_id].emit_frames, u.labels, u.ref_frames)
+                 for u in test_utts),
+                model.cfg.frame_stack,
+            )
             _log(f"tau={tau} seed={base_seed + s}: token_error={err:.4f} delay={delay:.2f}")
             errs.append(err)
             delays.append(delay)

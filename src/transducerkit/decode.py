@@ -150,11 +150,19 @@ def beam_decode(model, enc_outputs, cfg):
     return nbest[0], nbest
 
 
-def decode(model, enc_outputs, cfg):
-    if cfg.mode == "greedy":
-        return greedy_decode(model, enc_outputs, cfg.max_symbols_per_frame)
-    best, _ = beam_decode(model, enc_outputs, cfg)
-    return best
+def decode_corpus(model, utts, cfg):
+    """Encode and decode every utterance with ``cfg``'s search.
+
+    Returns {utt_id: best Hypothesis} in input order.
+    """
+    hyps = {}
+    for utt in utts:
+        enc, _ = model.encode(utt.features)
+        if cfg.mode == "greedy":
+            hyps[utt.utt_id] = greedy_decode(model, enc, cfg.max_symbols_per_frame)
+        else:
+            hyps[utt.utt_id] = beam_decode(model, enc, cfg)[0]
+    return hyps
 
 
 def edit_align(hyp, ref):
@@ -221,6 +229,27 @@ def alignment_delay(hyp_tokens, hyp_frames, ref_tokens, ref_frames):
         raise ValueError("no matched tokens to measure delay on")
     gaps = [hyp_frames[j] - ref_frames[i] for i, j in matches]
     return float(np.mean(gaps))
+
+
+def corpus_delay(items, frame_divisor=1):
+    """Mean alignment delay over a corpus, in encoder frames.
+
+    ``items`` yields (utt_id, hyp_tokens, hyp_frames, ref_tokens, ref_frames)
+    with reference frames counted in raw frames; each maps onto encoder frame
+    ceil(f / frame_divisor). Utterances with no matched token are skipped,
+    and RuntimeError is raised if none is left. Returns (mean, [(utt_id,
+    delay), ...] in input order).
+    """
+    delays = []
+    for utt_id, hyp_tokens, hyp_frames, ref_tokens, ref_frames in items:
+        scaled_ref = [(f + frame_divisor - 1) // frame_divisor for f in ref_frames]
+        try:
+            delays.append((utt_id, alignment_delay(hyp_tokens, hyp_frames, ref_tokens, scaled_ref)))
+        except ValueError:
+            continue
+    if not delays:
+        raise RuntimeError("no utterances with matched tokens")
+    return float(np.mean([d for _, d in delays])), delays
 
 
 def reported_latency_ms(num_layers, tau, mean_delay_frames, frame_ms=30.0):

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DTYPE, AllocationMeter
-
-default_meter = AllocationMeter()
-
-
-def reset_meter():
-    global default_meter
-    default_meter = AllocationMeter()
-    return default_meter
+from .tensor import DTYPE
 
 
 class PackedLattice:
@@ -107,7 +99,7 @@ class JointNetwork:
         else:
             np.maximum(block, 0.0, out=block)
 
-    def combine_packed(self, enc_outputs, pre_outputs, meter=None):
+    def combine_packed(self, enc_outputs, pre_outputs):
         """Combine per-sequence encoder/prediction outputs into a packed lattice.
 
         enc_outputs: list of (T_n, F_enc); pre_outputs: list of (U_n+1, F_pre).
@@ -115,7 +107,6 @@ class JointNetwork:
         position; only exact-size per-sequence blocks are ever materialized.
         Returns (PackedLattice of width D, cache for backward).
         """
-        meter = meter or default_meter
         if len(enc_outputs) != len(pre_outputs):
             raise ValueError("sequence count mismatch between encoder and prediction outputs")
         dims = []
@@ -125,7 +116,6 @@ class JointNetwork:
             dims.append((enc.shape[0], pre.shape[0]))
         rows = sum(t * u1 for t, u1 in dims)
         data = np.empty((rows, self.joint_dim), dtype=DTYPE)
-        meter.grab("z-lattice", data.nbytes)
         lattice = PackedLattice(data, dims)
         for n, (enc, pre) in enumerate(zip(enc_outputs, pre_outputs)):
             a = enc @ self.u_mat.value  # (T, D), one projection per frame
@@ -136,14 +126,12 @@ class JointNetwork:
             self._apply_psi(block)
         return lattice, (enc_outputs, pre_outputs, lattice)
 
-    def project_logits(self, z, meter=None):
+    def project_logits(self, z):
         """Row-wise linear output layer; same packing, width K."""
-        meter = meter or default_meter
         if z.width != self.joint_dim:
             raise ValueError(f"z width {z.width} != joint width {self.joint_dim}")
         data = z.data @ self.w_out.value
         data += self.b_out.value
-        meter.grab("logits-lattice", data.nbytes)
         return PackedLattice(data, z.dims)
 
     def backward(self, d_logits, cache):

@@ -7,8 +7,8 @@ recursions run in log space. Two gradient paths are provided:
 * ``grad_logits_merged`` writes the logit gradient directly over the
   posterior buffer (single lattice-sized tensor alive for the whole stage);
 * ``grad_posterior`` + ``grad_logits_chain`` is the textbook two-step
-  composition, kept as a reference path for tests and for the memory
-  accounting comparison (it allocates two extra lattice-sized tensors).
+  composition, kept as a reference path for tests and for the measured
+  memory comparison (it allocates two extra lattice-sized tensors).
 
 A path-enumeration oracle (``brute_force_loss``) validates the recursions on
 small instances.
@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .joint import PackedLattice, default_meter
+from .joint import PackedLattice
 
 BLANK = 0
 NEG_INF = -np.inf
@@ -168,7 +168,7 @@ def brute_force_loss(probs, labels):
     return -np.log(total)
 
 
-def grad_posterior(ws, meter=None):
+def grad_posterior(ws):
     """Loss gradient with respect to the linear posteriors (reference path).
 
     Nonzero only at the blank and next-label entries of each cell. Allocates
@@ -176,10 +176,8 @@ def grad_posterior(ws, meter=None):
     training path.
     """
     _require_posteriors(ws)
-    meter = meter or default_meter
     post = ws.posteriors
     data = np.zeros_like(post.data)
-    meter.grab("logits-lattice", data.nbytes)
     out = PackedLattice(data, post.dims)
     for n, labels in enumerate(ws.labels_list):
         la, lb, ll = ws.log_alpha[n], ws.log_beta[n], ws.log_like[n]
@@ -194,21 +192,19 @@ def grad_posterior(ws, meter=None):
     return out
 
 
-def grad_logits_chain(ws, meter=None):
+def grad_logits_chain(ws):
     """Chain-rule reference: posterior gradient composed with the softmax
     Jacobian. Keeps three lattice-sized tensors alive (posteriors, posterior
     gradient, logit gradient)."""
-    meter = meter or default_meter
-    d_post = grad_posterior(ws, meter)
+    d_post = grad_posterior(ws)
     post = ws.posteriors
     inner = np.sum(d_post.data * post.data, axis=-1, keepdims=True)
     data = post.data * (d_post.data - inner)
-    meter.grab("logits-lattice", data.nbytes)
     ws.phase = "gradient"
     return PackedLattice(data, post.dims)
 
 
-def grad_logits_merged(ws, meter=None):
+def grad_logits_merged(ws):
     """Logit gradient written in place over the posterior buffer.
 
     Evaluates P * alpha/P(y|x) * [beta(t,u) - beta-of-target] directly, so
@@ -217,8 +213,6 @@ def grad_logits_merged(ws, meter=None):
     workspace buffer holds gradients, not posteriors.
     """
     _require_posteriors(ws)
-    if meter is None:
-        meter = default_meter
     post = ws.posteriors
     for n, labels in enumerate(ws.labels_list):
         la, lb, ll = ws.log_alpha[n], ws.log_beta[n], ws.log_like[n]
@@ -248,26 +242,3 @@ def _require_posteriors(ws):
         raise ValueError(
             "workspace buffer no longer holds posteriors; rerun the forward pass first"
         )
-
-
-def diagonal_log_likelihoods(ws, n):
-    """logsumexp of alpha+beta along every anti-diagonal of sequence n.
-
-    Every entry equals the sequence log-likelihood; exposed for invariant
-    checks.
-    """
-    la, lb = ws.log_alpha[n], ws.log_beta[n]
-    t_n, u1_n = la.shape
-    out = []
-    for diag in range(t_n + u1_n - 1):
-        terms = []
-        for t in range(t_n):
-            u = diag - t
-            if 0 <= u < u1_n:
-                terms.append(la[t, u] + lb[t, u])
-        m = max(terms)
-        if m == NEG_INF:
-            out.append(NEG_INF)
-        else:
-            out.append(m + np.log(sum(np.exp(v - m) for v in terms)))
-    return out

@@ -113,16 +113,20 @@ class TransducerModel:
         """Mean per-utterance loss with merged backward into all parameters.
 
         Gradients accumulate into the registry (call registry.zero_grad()
-        between steps).
+        between steps). A non-finite loss is returned before any backward
+        pass runs, leaving the gradients untouched.
         """
         logits, caches = self.forward_batch(batch)
         enc_caches, pre_caches, joint_cache, labels_list = caches
         softmax_inplace(logits.data)
         ws = loss_mod.forward_backward(logits, labels_list)
+        loss = ws.loss_mean
+        if not np.isfinite(loss):
+            return loss
         d_logits = loss_mod.grad_logits_merged(ws)
         d_logits.data *= 1.0 / len(batch)  # mean over utterances, still in place
         self.backprop_to_networks(d_logits, (enc_caches, pre_caches, joint_cache))
-        return ws.loss_mean
+        return loss
 
     def backprop_to_networks(self, d_logits, caches):
         """Route packed logit gradients into joint, encoder, and prediction
@@ -141,10 +145,7 @@ class TransducerModel:
         """Output-layer logits for one (frame, label-position) cell."""
         j = self.joint
         z = enc_vec @ j.u_mat.value + pred_vec @ j.v_mat.value + j.b_z.value
-        if j.psi == "tanh":
-            z = np.tanh(z)
-        else:
-            z = np.maximum(z, 0.0)
+        j._apply_psi(z)
         return z @ j.w_out.value + j.b_out.value
 
     def joint_log_probs_row(self, enc_vec, pred_vec):

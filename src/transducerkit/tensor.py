@@ -49,34 +49,6 @@ def softmax_inplace(buf):
     return buf
 
 
-class LayerNormParams:
-    """Adaptive gain/bias pair plus a variance floor for one normalized vector."""
-
-    def __init__(self, gain, bias, epsilon=1e-5):
-        self.gain = np.asarray(gain, dtype=DTYPE)
-        self.bias = np.asarray(bias, dtype=DTYPE)
-        if self.gain.shape != self.bias.shape:
-            raise ValueError("layer norm gain and bias must have equal length")
-        if epsilon < 0:
-            raise ValueError("layer norm epsilon must be >= 0")
-        self.epsilon = float(epsilon)
-
-
-def layer_norm(v, p):
-    """Standardize ``v`` with population statistics, then scale and shift.
-
-    (v - mean) / sqrt(popvar + eps) * gain + bias.  Population variance
-    (1/D normalizer), epsilon inside the sqrt.
-    """
-    v = np.asarray(v)
-    if v.shape != p.gain.shape:
-        raise ValueError(f"layer_norm: input dim {v.shape} != param dim {p.gain.shape}")
-    mu = v.mean()
-    centered = v - mu
-    sigma = np.sqrt(centered.dot(centered) / v.size + p.epsilon)
-    return centered / sigma * p.gain + p.bias
-
-
 @functools.lru_cache(maxsize=None)
 def _mean_column(n):
     """Read-only (n, 1) column of 1/n: ``v @ col`` is the last-axis mean
@@ -222,34 +194,6 @@ def grad_check(loss_fn, registry, step=1e-6):
             rel = abs(a[i] - numeric) / (abs(a[i]) + abs(numeric) + 1e-12)
             worst = max(worst, rel)
     return worst
-
-
-class AllocationMeter:
-    """Counts live large buffers by tag, for the memory-accounting checks.
-
-    Code that allocates (or retires) a lattice-sized buffer reports it here;
-    tests read peak-live counts and bytes. This is bookkeeping, not a memory
-    profiler: only the tagged allocations the contracts care about are
-    recorded.
-    """
-
-    def __init__(self):
-        self.live_count = {}
-        self.live_bytes = {}
-        self.peak_count = {}
-        self.peak_bytes = {}
-        self.total_bytes = {}
-
-    def grab(self, tag, nbytes):
-        self.live_count[tag] = self.live_count.get(tag, 0) + 1
-        self.live_bytes[tag] = self.live_bytes.get(tag, 0) + int(nbytes)
-        self.total_bytes[tag] = self.total_bytes.get(tag, 0) + int(nbytes)
-        self.peak_count[tag] = max(self.peak_count.get(tag, 0), self.live_count[tag])
-        self.peak_bytes[tag] = max(self.peak_bytes.get(tag, 0), self.live_bytes[tag])
-
-    def drop(self, tag, nbytes):
-        self.live_count[tag] = self.live_count.get(tag, 0) - 1
-        self.live_bytes[tag] = self.live_bytes.get(tag, 0) - int(nbytes)
 
 
 def write_tensor(f, arr):

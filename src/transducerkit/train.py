@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import make_batches
-from .decode import DecodeConfig, decode, edit_distance_wer
+from .decode import DecodeConfig, decode_corpus, edit_distance_wer
 from .model import ModelConfig, TransducerModel
 from .tensor import _read_exact, read_tensor, write_tensor
 
@@ -126,14 +126,11 @@ def fit(model, train_utts, cfg, dev_utts=None, log=None, eval_decode=None, on_ep
 def evaluate_token_error(model, utts, decode_cfg):
     """Corpus token error rate: (S+I+D) summed over utterances / total ref
     tokens. Returns (rate, {utt_id: Hypothesis})."""
+    hyps = decode_corpus(model, utts, decode_cfg)
     errors = 0
     ref_tokens = 0
-    hyps = {}
     for utt in utts:
-        enc, _ = model.encode(utt.features)
-        hyp = decode(model, enc, decode_cfg)
-        hyps[utt.utt_id] = hyp
-        s, i, d, _ = edit_distance_wer(list(hyp.tokens), utt.labels)
+        s, i, d, _ = edit_distance_wer(list(hyps[utt.utt_id].tokens), utt.labels)
         errors += s + i + d
         ref_tokens += len(utt.labels)
     return (errors / ref_tokens if ref_tokens else 0.0), hyps

@@ -3,11 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from transducerkit import cli as cli_mod
-from transducerkit import train as train_mod
+from transducerkit import decode as decode_mod
 from transducerkit.cli import main
 from transducerkit.data import load_split
-from transducerkit.decode import alignment_delay, decode
+from transducerkit.decode import alignment_delay, greedy_decode
 
 TASK_SPEC = """
 task.num_labels = 6
@@ -219,13 +218,12 @@ class TestSweepTau:
     def test_decodes_each_test_utterance_once(self, tmp_path, corpus_dir, capsys, monkeypatch):
         calls = []
 
-        def counting_decode(model, enc, cfg):
-            hyp = decode(model, enc, cfg)
-            calls.append((model, enc, cfg, hyp))
+        def counting_decode(model, enc, max_symbols_per_frame=10):
+            hyp = greedy_decode(model, enc, max_symbols_per_frame)
+            calls.append((model, enc, max_symbols_per_frame, hyp))
             return hyp
 
-        monkeypatch.setattr(cli_mod, "decode", counting_decode)
-        monkeypatch.setattr(train_mod, "decode", counting_decode)
+        monkeypatch.setattr(decode_mod, "greedy_decode", counting_decode)
         cfg = run_config(tmp_path, corpus_dir, "train.epochs = 3\n")
         assert main(["sweep-tau", "--config", str(cfg), "--tau", "0", "--seeds", "1"]) == 0
         mean_delay = capsys.readouterr().out.splitlines()[-1].split("\t")[2]
@@ -234,8 +232,8 @@ class TestSweepTau:
 
         # the delay as sweep-tau computed it before, from a second decode
         delays = []
-        for utt, (model, enc, dcfg, hyp) in zip(test_utts, calls):
-            again = decode(model, enc, dcfg)
+        for utt, (model, enc, max_symbols, hyp) in zip(test_utts, calls):
+            again = greedy_decode(model, enc, max_symbols)
             assert (again.tokens, again.emit_frames) == (hyp.tokens, hyp.emit_frames)
             scaled_ref = [(f + 2) // 3 for f in utt.ref_frames]
             try:

@@ -14,12 +14,13 @@ from transducerkit.decode import (
     Hypothesis,
     alignment_delay,
     beam_decode,
-    decode,
+    decode_corpus,
     edit_align,
     edit_distance_wer,
     greedy_decode,
     reported_latency_ms,
 )
+from transducerkit.data import Utterance
 from transducerkit.model import ModelConfig, TransducerModel
 from transducerkit.networks import NetConfig
 
@@ -318,10 +319,18 @@ class TestBeam:
 
     def test_decode_dispatch(self):
         model = tiny_model(seed=7)
-        enc, _ = model.encode(np.random.default_rng(8).normal(size=(6, 3)))
-        g = decode(model, enc, DecodeConfig(mode="greedy"))
-        b = decode(model, enc, DecodeConfig(mode="beam", beam_width=2))
-        assert isinstance(g, Hypothesis) and isinstance(b, Hypothesis)
+        rng = np.random.default_rng(8)
+        utts = [Utterance(name, rng.normal(size=(6, 3)), [], []) for name in ("b", "c", "a")]
+        greedy = decode_corpus(model, utts, DecodeConfig(mode="greedy"))
+        beam_cfg = DecodeConfig(mode="beam", beam_width=2)
+        beam = decode_corpus(model, utts, beam_cfg)
+        assert list(greedy) == list(beam) == ["b", "c", "a"]  # input order
+        for utt in utts:
+            enc, _ = model.encode(utt.features)
+            g, b = greedy[utt.utt_id], beam[utt.utt_id]
+            assert isinstance(g, Hypothesis) and isinstance(b, Hypothesis)
+            for got, want in ((g, greedy_decode(model, enc)), (b, beam_decode(model, enc, beam_cfg)[0])):
+                assert (got.tokens, got.log_prob, got.emit_frames) == (want.tokens, want.log_prob, want.emit_frames)
 
     def test_matches_eager_oracle_on_tiny_model(self):
         for seed in range(3):

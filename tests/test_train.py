@@ -1,12 +1,13 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from transducerkit.data import SyntheticTaskSpec, Utterance, gen_synthetic
+from transducerkit.data import SyntheticTaskSpec, Utterance, gen_synthetic, make_batches
 from transducerkit.decode import DecodeConfig, greedy_decode
 from transducerkit.model import ModelConfig, TransducerModel
 from transducerkit.networks import NetConfig
@@ -111,12 +112,16 @@ class TestFit:
         model.registry.clip_grad_norm(clip)
         assert model.registry.grad_global_norm() <= clip + 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_loss_aborts_with_batch_id(self):
         model = small_model(seed=10)
         corpus = small_corpus(n=3, seed=11)
         model.joint.b_out.value[0] = -np.inf  # blank prob 0 -> infinite loss
         cfg = TrainConfig(lr=1e-3, epochs=1, batch_budget=500, seed=0)
-        with pytest.raises((RuntimeError, ValueError)):
+        first = make_batches(corpus["train"], cfg.batch_budget, mode=cfg.shuffle, seed=cfg.seed)[0]
+        ids = ",".join(u.utt_id for u in first)
+        # the loss is checked before any backward pass, so no NaN arithmetic runs
+        with pytest.raises(RuntimeError, match=re.escape(f"on batch [{ids}]")):
             fit(model, corpus["train"], cfg, log=lambda m: None)
 
 
