@@ -179,6 +179,11 @@ def cmd_bench_mem(args):
 def cmd_align_delay(args):
     hyp = data_mod.read_label_file(args.hyp_with_frames)
     ref = data_mod.read_label_file(args.ref_frames)
+    if not set(ref) & set(hyp):
+        raise RuntimeError(
+            f"{args.hyp_with_frames} and {args.ref_frames} share no utterance id "
+            f"(reference ids include {sorted(ref)[:3]})"
+        )
     mean, delays = corpus_delay(
         ((utt_id, *hyp[utt_id], *refs) for utt_id, refs in sorted(ref.items()) if utt_id in hyp),
         args.frame_divisor,

@@ -41,9 +41,10 @@ def softmax_inplace(buf):
     Used on the packed logits lattice so the posterior takes the storage of
     the logits and no second lattice-sized tensor exists.
     """
-    if np.isnan(buf).any():
+    peak = np.max(buf, axis=-1, keepdims=True)
+    if np.isnan(peak).any():  # np.max propagates NaN: no second pass over buf
         raise ValueError("softmax: NaN in logits")
-    buf -= np.max(buf, axis=-1, keepdims=True)
+    buf -= peak
     np.exp(buf, out=buf)
     buf /= np.sum(buf, axis=-1, keepdims=True)
     return buf

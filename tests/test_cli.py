@@ -202,6 +202,17 @@ class TestErrors:
         rc = main(["decode", "--ckpt", str(bad), "--data", str(tmp_path)])
         assert rc == 2
 
+    def test_align_delay_without_shared_ids(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text("test_0\t1 2\t3 5\n")
+        ref = tmp_path / "ref.tsv"
+        ref.write_text("train_0\t1 2\t4 6\ntrain_1\t3\t2\n")
+        rc = main(["align-delay", "--hyp-with-frames", str(hyp), "--ref-frames", str(ref)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "share no utterance id" in err
+        assert "train_0" in err and "matched tokens" not in err
+
     def test_set_override(self, tmp_path, corpus_dir, capsys):
         cfg = run_config(tmp_path, corpus_dir)
         out_dir = tmp_path / "ovr"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +15,8 @@ from transducerkit.loss import (
     grad_posterior,
 )
 from transducerkit.tensor import softmax, softmax_inplace
+
+import loss_oracle
 
 
 def pack(blocks):
@@ -287,3 +290,85 @@ class TestMergedGradient:
             grad_logits_merged(ws)
         with pytest.raises(ValueError):
             grad_posterior(ws)
+
+
+def assert_matches_oracle(blocks, labels_list):
+    """forward_backward and grad_logits_merged against the per-cell oracle,
+    bit for bit: alpha, beta, log-likelihoods, losses and merged gradient."""
+    lattice, reference = pack(blocks), pack(blocks)
+    ws = forward_backward(lattice, labels_list)
+    expect = loss_oracle.forward_backward(reference, labels_list)
+    for n, (la, lb, ll) in enumerate(expect):
+        npt.assert_array_equal(ws.log_alpha[n], la)
+        npt.assert_array_equal(ws.log_beta[n], lb)
+        assert ws.log_like[n] == ll and ws.losses[n] == -ll
+    grad_logits_merged(ws)
+    loss_oracle.merged_gradient(reference, labels_list, expect)
+    npt.assert_array_equal(lattice.data, reference.data)
+    return ws
+
+
+def random_block(rng, t, u, k):
+    probs = softmax(rng.normal(scale=2.0, size=(t, u + 1, k)))
+    return probs, rng.integers(1, k, size=u).tolist()
+
+
+class TestWavefrontAgainstOracle:
+    EDGE_SHAPES = ((1, 0), (1, 3), (5, 0))  # T=1, U=0, and both
+
+    def test_edge_shapes_alone(self):
+        rng = np.random.default_rng(20)
+        for t, u in self.EDGE_SHAPES:
+            probs, labels = random_block(rng, t, u, 5)
+            ws = assert_matches_oracle([probs], [labels])
+            assert abs(ws.losses[0] - brute_force_loss(probs, labels)) < 1e-10
+
+    def test_edge_shapes_packed_beside_long_lattices(self):
+        # the short lattices' padding in the skewed storage spans the long
+        # lattices' diagonals; none of it may leak into a lattice cell
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            shapes = [(40, 12), *self.EDGE_SHAPES, (3, 30)]
+            rng.shuffle(shapes)
+            pairs = [random_block(rng, t, u, 7) for t, u in shapes]
+            ws = assert_matches_oracle([p for p, _ in pairs], [l for _, l in pairs])
+            for n, (probs, labels) in enumerate(pairs):
+                if probs.shape[0] + probs.shape[1] < 8:
+                    assert abs(ws.losses[n] - brute_force_loss(probs, labels)) < 1e-10
+
+    def test_fuzz_mixed_batches(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            k = int(rng.integers(2, 9))
+            pairs = [
+                random_block(rng, int(rng.integers(1, 7)), int(rng.integers(0, 5)), k)
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            ws = assert_matches_oracle([p for p, _ in pairs], [l for _, l in pairs])
+            for n, (probs, labels) in enumerate(pairs):
+                assert abs(ws.losses[n] - brute_force_loss(probs, labels)) < 1e-10
+
+    def test_exact_zero_posteriors(self):
+        # zeros make whole regions of alpha and beta -inf; they must match
+        # the oracle without any divide or invalid-value warning
+        rng = np.random.default_rng(23)
+        long_probs, long_labels = random_block(rng, 6, 3, 4)
+        probs = rng.uniform(0.5, 1.0, size=(4, 3, 4))
+        probs[0, 0, 0] = 0.0  # no blank at the start: alpha(t, 0) = -inf for t >= 1
+        probs[3, 1, 2] = 0.0  # label 2 is not emitted in the last frame: beta(3, 1) = -inf
+        probs /= probs.sum(axis=-1, keepdims=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ws = assert_matches_oracle([long_probs, probs], [long_labels, [1, 2]])
+        assert np.isfinite(ws.losses).all()
+        assert np.isneginf(ws.log_alpha[1]).any() and np.isneginf(ws.log_beta[1]).any()
+        assert abs(ws.losses[1] - brute_force_loss(probs, [1, 2])) < 1e-10
+
+    def test_forward_backward_peak_memory(self):
+        # the geometry, the skewed diagonals and the per-row lattices are
+        # all (rows,)-sized: together well under a tenth of the K=200 buffer
+        rng = np.random.default_rng(24)
+        probs = softmax(rng.normal(scale=2.0, size=(40, 11, 200)))
+        lattice = pack([probs])
+        labels = rng.integers(1, 200, size=10).tolist()
+        assert traced_peak(lambda: forward_backward(lattice, [labels])) < 0.1 * probs.nbytes

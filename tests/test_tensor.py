@@ -125,6 +125,16 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax_inplace(np.array([[0.0, np.nan]]))
 
+    def test_inplace_nan_in_later_row_leaves_buffer(self):
+        # NaN is found from the row maxima, before anything is written
+        rng = np.random.default_rng(6)
+        buf = rng.normal(size=(6, 5))
+        buf[4, 2] = np.nan
+        before = buf.copy()
+        with pytest.raises(ValueError, match="NaN"):
+            softmax_inplace(buf)
+        npt.assert_array_equal(buf, before)
+
     def test_inplace_matches(self):
         rng = np.random.default_rng(5)
         logits = rng.normal(size=(7, 5))
