@@ -107,9 +107,9 @@ def forward_backward(posteriors, labels_list, check_normalized=True):
     # beta(T_n, U_n) = 0 of every sequence is the start cell (0, 1)
     np.subtract((t_len + u1_len)[seq], diag, out=diag)
     np.subtract(u1_len[seq], u, out=col)
-    del t, u
+    del t, u  # peak memory stays a few (rows,) vectors
     beta_ext = _wavefront(skew(diag, col, lp_blank), skew(diag, col, lp_label))
-    del lp_blank, lp_label
+    del lp_blank, lp_label  # likewise, before the per-row gathers
     beta = beta_ext[seq, diag, col]
     ws._merge_rows = (label, beta_ext[seq, diag - 1, col], beta_ext[seq, diag - 1, col - 1])
 
