@@ -25,8 +25,8 @@ from .config import (
 from .decode import (
     DecodeConfig,
     corpus_delay,
+    corpus_token_errors,
     decode_corpus,
-    edit_distance_wer,
     reported_latency_ms,
 )
 from .model import TransducerModel
@@ -116,14 +116,9 @@ def cmd_score(args):
     missing = sorted(set(ref) - set(hyp))
     if missing:
         raise RuntimeError(f"hypothesis file is missing utterances: {missing[:5]}")
-    subs = ins = dels = tokens = 0
-    for utt_id, (ref_toks, _) in ref.items():
-        s, i, d, _ = edit_distance_wer(hyp[utt_id][0], ref_toks)
-        subs += s
-        ins += i
-        dels += d
-        tokens += len(ref_toks)
-    rate = (subs + ins + dels) / tokens if tokens else 0.0
+    subs, ins, dels, tokens, rate = corpus_token_errors(
+        (hyp[utt_id][0], ref_toks) for utt_id, (ref_toks, _) in ref.items()
+    )
     _emit(
         [
             f"tokens\t{tokens}",

@@ -18,14 +18,6 @@ class ConfigError(ValueError):
     """Bad key, bad value, or missing referenced path (a usage error)."""
 
 
-def _bool(text):
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # key -> (type, default); None default means the key must be set before use.
 RUN_KEYS = {
     "seed": (int, 0),
@@ -87,7 +79,7 @@ def parse_kv_lines(lines, schema, source="<config>"):
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         typ, _ = schema[key]
         try:
-            values[key] = typ(text) if typ is not bool else _bool(text)
+            values[key] = typ(text)
         except ValueError as e:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {e}") from None
     return values

@@ -110,41 +110,42 @@ def save_corpus(root, corpus):
 
 
 def load_split(dirpath):
+    path = os.path.join(dirpath, "labels.tsv")
     utts = []
-    with open(os.path.join(dirpath, "labels.tsv")) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            utt_id, toks, frames = line.split("\t")
-            features = load_tensor(os.path.join(dirpath, utt_id + ".tkt"))
-            utts.append(
-                Utterance(
-                    utt_id,
-                    features,
-                    [int(t) for t in toks.split()] if toks else [],
-                    [int(x) for x in frames.split()] if frames else [],
-                )
+    for utt_id, (labels, ref_frames) in read_label_file(path).items():
+        if len(ref_frames) != len(labels):
+            raise ValueError(
+                f"{path}: utterance {utt_id} has {len(labels)} tokens but {len(ref_frames)} frames"
             )
+        features = load_tensor(os.path.join(dirpath, utt_id + ".tkt"))
+        utts.append(Utterance(utt_id, features, labels, ref_frames))
     return utts
 
 
 def read_label_file(path):
     """labels.tsv / decode-output reader: {utt_id: (tokens, frames)}.
 
-    The frames column is optional (score files may carry tokens only).
+    The frames column is optional (score files may carry tokens only). A
+    bad column count, a non-integer value or a repeated utterance id raises a
+    ValueError naming the file and line; "#" lines are comments.
     """
     table = {}
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
+            if len(parts) not in (2, 3):
+                raise ValueError(f"{path}:{lineno}: expected 2 or 3 columns, got {len(parts)}")
             utt_id = parts[0]
-            toks = [int(t) for t in parts[1].split()] if len(parts) > 1 and parts[1] else []
-            frames = [int(x) for x in parts[2].split()] if len(parts) > 2 and parts[2] else []
-            table[utt_id] = (toks, frames)
+            if utt_id in table:
+                raise ValueError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
+            frames = parts[2] if len(parts) == 3 else ""
+            try:
+                table[utt_id] = ([int(t) for t in parts[1].split()], [int(x) for x in frames.split()])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer token or frame in {line!r}") from None
     return table
 
 

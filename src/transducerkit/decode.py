@@ -32,8 +32,6 @@ class Hypothesis:
 
     tokens: tuple = ()
     log_prob: float = 0.0
-    pred_state: object = None
-    pred_out: object = None
     emit_frames: tuple = ()
     frame_emissions: int = 0  # emissions within the current frame
 
@@ -61,13 +59,7 @@ def greedy_decode(model, enc_outputs, max_symbols_per_frame=10):
             log_prob += float(logp[k])
             state, pred_out = model.prediction.step(state, k)
             emitted += 1
-    return Hypothesis(
-        tokens=tuple(tokens),
-        log_prob=log_prob,
-        pred_state=state,
-        pred_out=pred_out,
-        emit_frames=tuple(frames),
-    )
+    return Hypothesis(tokens=tuple(tokens), log_prob=log_prob, emit_frames=tuple(frames))
 
 
 def _merge(pool, hyp):
@@ -146,8 +138,7 @@ def beam_decode(model, enc_outputs, cfg):
         kept = sorted(
             finished.values(), key=lambda h: (-h.log_prob, h.tokens)
         )[: cfg.beam_width]
-    nbest = [replace(h, pred_state=cache[h.tokens][0], pred_out=cache[h.tokens][1]) for h in kept]
-    return nbest[0], nbest
+    return kept[0], kept
 
 
 def decode_corpus(model, utts, cfg):
@@ -250,6 +241,20 @@ def corpus_delay(items, frame_divisor=1):
     if not delays:
         raise RuntimeError("no utterances with matched tokens")
     return float(np.mean([d for _, d in delays])), delays
+
+
+def corpus_token_errors(pairs):
+    """Corpus token errors over (hyp_tokens, ref_tokens) pairs: (subs, ins,
+    dels, ref_tokens, rate), rate = (S+I+D) / ref_tokens or 0.0 if none."""
+    subs = ins = dels = ref_tokens = 0
+    for hyp, ref in pairs:
+        s, i, d, _ = edit_align(hyp, ref)
+        subs += s
+        ins += i
+        dels += d
+        ref_tokens += len(ref)
+    rate = (subs + ins + dels) / ref_tokens if ref_tokens else 0.0
+    return subs, ins, dels, ref_tokens, rate
 
 
 def reported_latency_ms(num_layers, tau, mean_delay_frames, frame_ms=30.0):

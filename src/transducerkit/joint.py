@@ -44,12 +44,6 @@ class PackedLattice:
     def width(self):
         return self.data.shape[1]
 
-    def row_index(self, n, t, u):
-        t_n, u1_n = self.dims[n]
-        if not (0 <= t < t_n and 0 <= u < u1_n):
-            raise IndexError(f"(t={t}, u={u}) outside lattice {n} of size ({t_n}, {u1_n})")
-        return self.offsets[n] + t * u1_n + u
-
     def block(self, n):
         """View of sequence n, shaped (T_n, U_n+1, width)."""
         t_n, u1_n = self.dims[n]
@@ -244,22 +238,16 @@ def max_batch(length_pairs, memory_budget, layout, loss_variant, joint_dim, num_
 
     Directional accounting model, not a GPU simulator: the peak charges the
     z-stage lattice plus the loss-stage logit-width tensors (one for the
-    merged gradient, three for the chain rule), and nothing else. Per-
-    sequence cost is the mean packed lattice size over the given length
-    pairs, or the padded maximum for the broadcast layout, so the modeled
-    peak is linear in N.
+    merged gradient, three for the chain rule), and nothing else. The
+    ``footprint`` of the given length pairs, divided by their count, is the
+    per-sequence cost: the mean packed lattice size, or the padded maximum
+    for the broadcast layout, so the modeled peak is linear in N.
     """
     if memory_budget <= 0:
         raise ValueError("memory budget must be positive")
     if loss_variant not in LOSS_STAGE_TENSORS:
         raise ValueError(f"unknown loss variant {loss_variant!r}")
-    if layout not in ("broadcast", "packed"):
-        raise ValueError(f"unknown layout {layout!r}")
-    cells = [t * (u + 1) for t, u in length_pairs]
-    if layout == "packed":
-        cells_per_seq = float(np.mean(cells))
-    else:
-        cells_per_seq = float(max(t for t, _ in length_pairs) * max(u + 1 for _, u in length_pairs))
+    spec = BatchSpec(list(length_pairs), joint_dim, num_labels, bytes_per_scalar)
     n_loss = LOSS_STAGE_TENSORS[loss_variant]
-    per_seq = cells_per_seq * (joint_dim + n_loss * num_labels) * bytes_per_scalar
-    return int(memory_budget // per_seq)
+    peak = footprint(spec, layout, "z") + n_loss * footprint(spec, layout, "logits")
+    return int(memory_budget * len(spec.lengths) // peak)

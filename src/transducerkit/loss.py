@@ -49,15 +49,13 @@ class LossWorkspace:
         return float(np.mean(self.losses))
 
 
-def forward_backward(posteriors, labels_list, check_normalized=True):
+def forward_backward(posteriors, labels_list):
     """Run both lattice recursions for every sequence in the packed batch.
 
     posteriors: PackedLattice of *linear* per-cell output distributions (the
-    in-place softmax buffer); each row must sum to 1 within 1e-6
-    (``check_normalized=False`` skips the check so tests can finite-
-    difference the loss against raw posterior entries). labels_list: one
-    label-id sequence per packed sequence (no blanks). Returns a
-    LossWorkspace with per-sequence log-likelihoods and losses.
+    in-place softmax buffer); each row must sum to 1 within 1e-6.
+    labels_list: one label-id sequence per packed sequence (no blanks).
+    Returns a LossWorkspace with per-sequence log-likelihoods and losses.
     """
     if posteriors.num_sequences != len(labels_list):
         raise ValueError("one label sequence required per packed sequence")
@@ -81,10 +79,9 @@ def forward_backward(posteriors, labels_list, check_normalized=True):
     t, u = np.divmod(rows - np.repeat(posteriors.offsets, sizes), u1_len[seq])
     label = table[seq, u]
     data = posteriors.data
-    if check_normalized:
-        bad = np.flatnonzero(np.abs(data.sum(axis=-1) - 1.0) > 1e-6)
-        if bad.size:
-            raise ValueError(f"sequence {seq[bad[0]]}: posteriors are not normalized per (t, u)")
+    bad = np.flatnonzero(np.abs(data.sum(axis=-1) - 1.0) > 1e-6)
+    if bad.size:
+        raise ValueError(f"sequence {seq[bad[0]]}: posteriors are not normalized per (t, u)")
     with np.errstate(divide="ignore"):
         lp_blank = np.log(data[:, BLANK])
         lp_label = np.log(data[rows, label])

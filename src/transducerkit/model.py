@@ -7,7 +7,7 @@ backwards. One lattice-sized K-width tensor exists through the whole loss
 stage.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +43,6 @@ class ModelConfig:
             )
         if self.prediction.is_contextual:
             raise ValueError("contextual cell kinds are only valid for the encoder")
-
-    def to_dict(self):
-        return asdict(self)
-
-
-def encoder_net_config(cfg_dict, feature_dim, frame_stack):
-    """NetConfig for the encoder given raw feature width and stacking."""
-    return NetConfig(input_dim=feature_dim * frame_stack, **cfg_dict)
 
 
 class TransducerModel:
@@ -141,14 +133,11 @@ class TransducerModel:
 
     # ----- decoding support -----
 
-    def joint_logits_row(self, enc_vec, pred_vec):
-        """Output-layer logits for one (frame, label-position) cell."""
+    def joint_log_probs_row(self, enc_vec, pred_vec):
+        """Output log-probabilities for one (frame, label-position) cell."""
         j = self.joint
         z = enc_vec @ j.u_mat.value + pred_vec @ j.v_mat.value + j.b_z.value
         j._apply_psi(z)
-        return z @ j.w_out.value + j.b_out.value
-
-    def joint_log_probs_row(self, enc_vec, pred_vec):
-        logits = self.joint_logits_row(enc_vec, pred_vec)
+        logits = z @ j.w_out.value + j.b_out.value
         m = logits.max()
         return logits - (m + np.log(np.exp(logits - m).sum()))

@@ -74,11 +74,6 @@ class NetConfig:
     def is_contextual(self):
         return self.cell_kind in CONTEXTUAL_KINDS
 
-    @property
-    def total_lookahead(self):
-        """Total future frames the output at one frame may depend on."""
-        return self.num_layers * self.tau
-
 
 def stack_frames(feats, size=3, stride=3):
     """Stack consecutive feature rows into wider frames (zero-padded tail).
@@ -274,67 +269,58 @@ def expected_param_count(cfg):
     return total
 
 
-class TokenEmbedding:
-    """Learned lookup table; row 0 (blank) exists but is never consumed."""
-
-    def __init__(self, reg, prefix, num_labels, dim, rng):
-        self.num_labels = num_labels
-        self.dim = dim
-        self.table = reg.add(prefix + ".table", _uniform_init(rng, (num_labels, dim), dim))
-
-    def lookup(self, token):
-        if not 1 <= token < self.num_labels:
-            raise ValueError(f"token id {token} outside [1, {self.num_labels - 1}]")
-        return self.table.value[token]
-
-    def accumulate(self, token, d_vec):
-        self.table.grad[token] += d_vec
-
-
 class PredictionNet:
     """Label-side network producing one output per consumed-prefix length.
 
     Output u encodes the prefix y_1..y_u; position 0 starts from the all-zero
-    embedding. Contextual kinds are rejected (label lookahead is meaningless).
+    embedding. ``table`` is the learned token embedding; its row 0 (blank)
+    exists but is never consumed. Contextual kinds are rejected (label
+    lookahead is meaningless).
     """
 
     def __init__(self, reg, prefix, cfg, num_labels, rng):
         if cfg.is_contextual:
             raise ValueError("contextual cell kinds are only valid for the encoder")
         self.cfg = cfg
-        self.embedding = TokenEmbedding(reg, prefix + ".embed", num_labels, cfg.input_dim, rng)
+        self.num_labels = num_labels
+        dim = cfg.input_dim
+        self.table = reg.add(prefix + ".embed.table", _uniform_init(rng, (num_labels, dim), dim))
         self.net = SequenceNet(reg, prefix + ".net", cfg, rng)
 
     @property
     def out_dim(self):
         return self.net.out_dim
 
-    def _embed_sequence(self, labels):
-        xs = np.zeros((len(labels) + 1, self.cfg.input_dim), dtype=DTYPE)
-        for u, tok in enumerate(labels):
-            xs[u + 1] = self.embedding.lookup(int(tok))
-        return xs
+    def _token_error(self, token):
+        return ValueError(f"token id {token} outside [1, {self.num_labels - 1}]")
 
     def forward(self, labels):
         """labels: non-blank token ids. Returns ((U+1, out_dim), cache)."""
-        xs = self._embed_sequence(labels)
+        labels = np.asarray(labels, dtype=np.intp)
+        outside = (labels < 1) | (labels >= self.num_labels)
+        if outside.any():
+            raise self._token_error(labels[outside][0])
+        xs = np.zeros((len(labels) + 1, self.cfg.input_dim), dtype=DTYPE)
+        xs[1:] = self.table.value[labels]
         outs, net_cache = self.net.forward(xs)
-        return outs, (tuple(int(t) for t in labels), net_cache)
+        return outs, (labels, net_cache)
 
     def backward(self, d_out, cache):
         labels, net_cache = cache
         d_xs = self.net.backward(d_out, net_cache)
-        for u, tok in enumerate(labels):
-            self.embedding.accumulate(tok, d_xs[u + 1])
+        # unbuffered: a repeated token accumulates its rows in label order
+        np.add.at(self.table.grad, labels, d_xs[1:])
 
     def initial_state(self):
         return self.net.initial_state()
 
     def step(self, state, token=None):
         """Advance by one token (None = the start position's zero embedding)."""
-        x = (
-            np.zeros(self.cfg.input_dim, dtype=DTYPE)
-            if token is None
-            else self.embedding.lookup(int(token))
-        )
+        if token is None:
+            x = np.zeros(self.cfg.input_dim, dtype=DTYPE)
+        else:
+            token = int(token)
+            if not 1 <= token < self.num_labels:
+                raise self._token_error(token)
+            x = self.table.value[token]
         return self.net.step(x, state)

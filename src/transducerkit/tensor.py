@@ -23,16 +23,11 @@ def sigmoid(x):
 
 
 def softmax(logits):
-    """Numerically stable softmax over the last axis.
+    """Numerically stable softmax over the last axis, into a new array.
 
     Raises ValueError on NaN input; the output of each row sums to 1.
     """
-    logits = np.asarray(logits)
-    if np.isnan(logits).any():
-        raise ValueError("softmax: NaN in logits")
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / np.sum(ex, axis=-1, keepdims=True)
+    return softmax_inplace(np.array(logits, dtype=DTYPE))
 
 
 def softmax_inplace(buf):
@@ -135,9 +130,6 @@ class ParamRegistry:
     def __len__(self):
         return len(self._params)
 
-    def names(self):
-        return list(self._params.keys())
-
     def zero_grad(self):
         for p in self._params.values():
             p.grad[...] = 0.0
@@ -237,4 +229,7 @@ def save_tensor(path, arr):
 
 def load_tensor(path):
     with open(path, "rb") as f:
-        return read_tensor(f)
+        arr = read_tensor(f)
+        if f.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the tensor")
+        return arr

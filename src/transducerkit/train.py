@@ -3,12 +3,12 @@
 import json
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import make_batches
-from .decode import DecodeConfig, decode_corpus, edit_distance_wer
+from .decode import DecodeConfig, corpus_token_errors, decode_corpus
 from .model import ModelConfig, TransducerModel
 from .tensor import _read_exact, read_tensor, write_tensor
 
@@ -79,16 +79,17 @@ def make_optimizer(registry, cfg):
     return Adam(registry, cfg.lr)
 
 
-def fit(model, train_utts, cfg, dev_utts=None, log=None, eval_decode=None, on_epoch=None):
+def fit(model, train_utts, cfg, dev_utts=None, log=None, on_epoch=None):
     """Train in place; returns a history of per-step and per-epoch records.
 
     Deterministic for fixed seeds and configs (single worker, fixed batch
     order per epoch seed). Aborts on a non-finite loss, naming the batch.
-    ``on_epoch(epoch)`` runs after each epoch (checkpointing hook).
+    Scores ``dev_utts`` by greedy decoding. ``on_epoch(epoch)`` runs after
+    each epoch (checkpointing hook).
     """
     log = log or (lambda msg: print(msg, file=sys.stderr))
     opt = make_optimizer(model.registry, cfg)
-    eval_decode = eval_decode or DecodeConfig(mode="greedy")
+    dev_decode = DecodeConfig(mode="greedy")
     history = {"steps": [], "epochs": []}
     step = 0
     for epoch in range(cfg.epochs):
@@ -114,7 +115,7 @@ def fit(model, train_utts, cfg, dev_utts=None, log=None, eval_decode=None, on_ep
             step += 1
         record = {"epoch": epoch, "mean_loss": float(np.mean(epoch_losses))}
         if dev_utts:
-            record["dev_token_error"] = evaluate_token_error(model, dev_utts, eval_decode)[0]
+            record["dev_token_error"] = evaluate_token_error(model, dev_utts, dev_decode)[0]
         history["epochs"].append(record)
         log(f"epoch {epoch}: mean_loss={record['mean_loss']:.4f}"
             + (f" dev_err={record['dev_token_error']:.4f}" if dev_utts else ""))
@@ -127,24 +128,17 @@ def evaluate_token_error(model, utts, decode_cfg):
     """Corpus token error rate: (S+I+D) summed over utterances / total ref
     tokens. Returns (rate, {utt_id: Hypothesis})."""
     hyps = decode_corpus(model, utts, decode_cfg)
-    errors = 0
-    ref_tokens = 0
-    for utt in utts:
-        s, i, d, _ = edit_distance_wer(list(hyps[utt.utt_id].tokens), utt.labels)
-        errors += s + i + d
-        ref_tokens += len(utt.labels)
-    return (errors / ref_tokens if ref_tokens else 0.0), hyps
+    rate = corpus_token_errors((hyps[u.utt_id].tokens, u.labels) for u in utts)[-1]
+    return rate, hyps
 
 
-def save_checkpoint(path, model, step=0, rng_state=None, extra=None):
+def save_checkpoint(path, model, step=0):
     """Single-file checkpoint: magic, JSON header, then all parameters in
     tensor format. Round-trips bitwise."""
     header = {
         "version": CHECKPOINT_VERSION,
         "step": int(step),
-        "model": model.cfg.to_dict(),
-        "rng_state": rng_state,
-        "extra": extra or {},
+        "model": asdict(model.cfg),
         "params": [name for name, _ in model.registry.state_items()],
     }
     blob = json.dumps(header).encode("utf-8")
@@ -187,4 +181,6 @@ def load_checkpoint(path):
                 raise ValueError(f"checkpoint parameter {name} has shape {value.shape}, "
                                  f"model expects {p.value.shape}")
             p.value[...] = value
+        if f.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the last parameter")
     return model, header

@@ -130,6 +130,15 @@ class TestTrainDecodeScore:
         # untrained-ish model may share no matched tokens; both outcomes legal
         assert rc in (0, 2)
 
+    def test_score_sums_errors_over_utterances(self, tmp_path, capsys):
+        ref = tmp_path / "ref.tsv"
+        ref.write_text("u1\t1 2 3\t1 2 3\nu2\t4\t5\n")
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text("# schema: v1\nu1\t1 9\t1 2\nu2\t4 4\t5 6\n")
+        assert main(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == ["tokens\t4", "sub\t1", "ins\t1", "del\t1", "WER\t0.7500"]
+
     def test_score_identical_files_zero(self, corpus_dir, capsys):
         ref = corpus_dir / "test" / "labels.tsv"
         assert main(["score", "--hyp", str(ref), "--ref", str(ref)]) == 0
@@ -181,6 +190,25 @@ class TestBenchMem:
     def test_unknown_builtin_is_usage_error(self, capsys):
         assert main(["bench-mem", "--dist", "builtin:nope"]) == 1
 
+    # max_n per (layout, loss variant, k) row, in output order, with the
+    # default budget (16e9 bytes) and joint width (640)
+    @pytest.mark.parametrize("dist,max_n", [
+        ("mixed", [3, 0, 8, 1, 10, 1, 28, 3]),
+        ("short", [45, 5, 124, 16, 127, 15, 348, 45]),
+        ("equal", [20, 2, 56, 7, 20, 2, 56, 7]),
+    ])
+    def test_builtin_dist_output_pinned(self, capsys, dist, max_n):
+        assert main(["bench-mem", "--dist", f"builtin:{dist}"]) == 0
+        rows = [
+            f"{layout}\t{variant}\t{k}"
+            for layout in ("broadcast", "packed")
+            for variant in ("chain_rule", "merged")
+            for k in (4096, 36000)
+        ]
+        expected = ["# schema: v1", "layout\tloss_variant\tk\tmax_n"]
+        expected += [f"{row}\t{n}" for row, n in zip(rows, max_n)]
+        assert capsys.readouterr().out.splitlines() == expected
+
 
 class TestErrors:
     def test_unknown_config_key(self, tmp_path, corpus_dir, capsys):
@@ -201,6 +229,14 @@ class TestErrors:
         bad.write_bytes(b"NOPE" + b"\x00" * 16)
         rc = main(["decode", "--ckpt", str(bad), "--data", str(tmp_path)])
         assert rc == 2
+
+    def test_score_malformed_label_file_names_file_and_line(self, tmp_path, capsys):
+        ref = tmp_path / "ref.tsv"
+        ref.write_text("u1\t1 2\t3 5\n")
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text("# schema: v1\nu1\t1 2\t3\t5\n")
+        assert main(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 2
+        assert f"{hyp}:2: expected 2 or 3 columns, got 4" in capsys.readouterr().err
 
     def test_align_delay_without_shared_ids(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.tsv"

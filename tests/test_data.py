@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -81,6 +83,35 @@ class TestCorpusDisk:
         table = read_label_file(path)
         assert table["utt-1"] == ([3, 4, 5], [2, 4, 9])
         assert table["utt-2"] == ([], [])
+
+    @pytest.mark.parametrize("line,message", [
+        ("utt-2\t1 2\t3 4\t5\n", "expected 2 or 3 columns, got 4"),
+        ("utt-2\n", "expected 2 or 3 columns, got 1"),
+        ("utt-2\t1 x\t3 4\n", "non-integer token or frame"),
+        ("utt-2\t1 2\t3 4.5\n", "non-integer token or frame"),
+        ("utt-1\t1\t3\n", "duplicate utterance id 'utt-1'"),
+    ], ids=["columns", "one-column", "token", "frame", "duplicate"])
+    def test_label_file_errors_name_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "labels.tsv"
+        path.write_text("# schema: v1\nutt-1\t3 4\t2 4\n" + line)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+            read_label_file(path)
+
+    def test_split_token_frame_mismatch_names_file_and_utterance(self, tmp_path):
+        spec = SyntheticTaskSpec(train_size=2, dev_size=1, test_size=1, seed=5)
+        utts = gen_synthetic(spec)["train"]
+        utts[1].ref_frames = utts[1].ref_frames[:-1]
+        save_split(tmp_path, utts)
+        with pytest.raises(ValueError, match=re.escape(f"labels.tsv: utterance {utts[1].utt_id} has")):
+            load_split(tmp_path)
+
+    def test_two_column_split_line_rejected(self, tmp_path):
+        spec = SyntheticTaskSpec(train_size=1, dev_size=1, test_size=1, seed=5)
+        utt = gen_synthetic(spec)["train"][0]
+        save_split(tmp_path, [utt])
+        (tmp_path / "labels.tsv").write_text(f"{utt.utt_id}\t{' '.join(map(str, utt.labels))}\n")
+        with pytest.raises(ValueError, match=re.escape(f"labels.tsv: utterance {utt.utt_id} has")):
+            load_split(tmp_path)
 
 
 class TestMakeBatches:

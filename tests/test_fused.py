@@ -75,8 +75,9 @@ class TestInitBitwise:
                     self.check_cell(net.depth_cells[l], rng)
 
         check_net(model.encoder)
-        emb = model.prediction.embedding
-        assert_bytes_equal(emb.table.value, legacy_uniform(rng, (emb.num_labels, emb.dim), emb.dim))
+        assert model.registry["pre.embed.table"] is model.prediction.table
+        dim = model.cfg.prediction.input_dim
+        assert_bytes_equal(model.prediction.table.value, legacy_uniform(rng, (model.cfg.num_labels, dim), dim))
         check_net(model.prediction.net)
         reg = ParamRegistry()
         JointNetwork(reg, "joint", model.encoder.out_dim, model.prediction.out_dim,

@@ -33,13 +33,13 @@ def random_io(net, lengths, seed=1):
 
 class TestPackedLattice:
     def test_row_addressing(self):
+        # row (n, t, u) lives at offsets[n] + t*(U_n+1) + u
         lat = PackedLattice(np.arange(34 * 4, dtype=float).reshape(34, 4), [(3, 3), (5, 5)])
         assert lat.offsets == [0, 9]
-        assert lat.row_index(0, 2, 1) == 7
-        assert lat.row_index(1, 0, 0) == 9
-        assert lat.row_index(1, 4, 4) == 33
-        with pytest.raises(IndexError):
-            lat.row_index(0, 3, 0)
+        npt.assert_array_equal(lat.block(0)[2, 1], lat.data[7])
+        npt.assert_array_equal(lat.block(1)[0, 0], lat.data[9])
+        npt.assert_array_equal(lat.block(1)[4, 4], lat.data[33])
+        assert lat.block(0).shape == (3, 3, 4) and lat.block(1).shape == (5, 5, 4)
 
     def test_row_count_validated(self):
         with pytest.raises(ValueError):

@@ -37,10 +37,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             NetConfig(cell_kind="ln_gru", num_layers=1, hidden=4, input_dim=4, projection=2)
 
-    def test_total_lookahead(self):
-        cfg = NetConfig(cell_kind="eclt_gru", num_layers=6, hidden=4, input_dim=4, tau=4)
-        assert cfg.total_lookahead == 24
-
 
 class TestStackFrames:
     def test_non_overlapping(self):
@@ -281,6 +277,32 @@ class TestPredictionNet:
             net.forward([2, 0, 1])
         with pytest.raises(ValueError):
             net.forward([7])  # out of vocabulary
+
+    def test_out_of_range_token_named_by_forward_and_step(self):
+        _, net = self.make(num_labels=6)
+        for bad in (0, 6, -1):
+            with pytest.raises(ValueError, match=rf"token id {bad} outside \[1, 5\]"):
+                net.forward([2, bad, 1])
+            with pytest.raises(ValueError, match=rf"token id {bad} outside \[1, 5\]"):
+                net.step(net.initial_state(), bad)
+
+    def test_table_gradient_matches_per_token_loop(self):
+        # repeated tokens within and across the sequences of a batch
+        reg, net = self.make(num_labels=6)
+        rng = np.random.default_rng(25)
+        batch = [[3, 1, 3, 3, 5], [1, 3], [5, 5, 2, 1]]
+        probes = [rng.normal(size=(len(labels) + 1, 5)) for labels in batch]
+        expected = np.zeros_like(net.table.grad)
+        for labels, probe in zip(batch, probes):
+            _, (_, net_cache) = net.forward(labels)
+            d_xs = net.net.backward(probe, net_cache)
+            for u, tok in enumerate(labels):
+                expected[tok] += d_xs[u + 1]
+        reg.zero_grad()
+        for labels, probe in zip(batch, probes):
+            _, cache = net.forward(labels)
+            net.backward(probe, cache)
+        assert net.table.grad.tobytes() == expected.tobytes()
 
     def test_prefix_consistency(self):
         _, net = self.make()

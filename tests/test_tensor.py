@@ -254,3 +254,10 @@ class TestTensorFormat:
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match=f"cut.tkt.*expected {expected} bytes, got {got}"):
             load_tensor(path)
+
+    def test_trailing_bytes_name_path(self, tmp_path):
+        path = tmp_path / "long.tkt"
+        save_tensor(path, np.zeros((2, 3)))
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ValueError, match="long.tkt: unexpected bytes after the tensor"):
+            load_tensor(path)

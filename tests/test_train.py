@@ -142,12 +142,35 @@ class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = small_model(seed=14)
         path = tmp_path / "m.tkc"
-        save_checkpoint(path, model, step=17, rng_state={"x": 1}, extra={"note": "a"})
+        save_checkpoint(path, model, step=17)
         loaded, header = load_checkpoint(path)
         assert header["step"] == 17
-        assert header["rng_state"] == {"x": 1}
         for p in model.registry:
             npt.assert_array_equal(loaded.registry[p.name].value, p.value)
+
+    def test_header_with_rng_state_and_extra_loads(self, tmp_path):
+        # older version-2 writers stored these two header keys; the loader
+        # never read them
+        model = small_model(seed=19)
+        path = tmp_path / "old.tkc"
+        save_checkpoint(path, model, step=4)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8 : 8 + hlen])
+        header.update(rng_state={"x": 1}, extra={"note": "a"})
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen :])
+        loaded, got = load_checkpoint(path)
+        assert got["rng_state"] == {"x": 1} and got["step"] == 4
+        for p in model.registry:
+            assert loaded.registry[p.name].value.tobytes() == p.value.tobytes()
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.tkc"
+        save_checkpoint(path, small_model(seed=20))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="long.tkc: unexpected bytes after the last parameter"):
+            load_checkpoint(path)
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         model = small_model(seed=15)
