@@ -143,12 +143,17 @@ def _load_dist(text):
         raise ConfigError(f"length distribution file not found: {text}")
     pairs = []
     with open(text) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            t, u = line.split("\t")
-            pairs.append((int(t), int(u)))
+            try:
+                t, u = (int(v) for v in line.split("\t"))
+            except ValueError:  # a column count other than 2, or a non-integer
+                raise ConfigError(f"{text}:{lineno}: expected two integers 'T<TAB>U', got {line!r}") from None
+            if t < 1 or u < 0:
+                raise ConfigError(f"{text}:{lineno}: invalid sequence lengths (T={t}, U={u})")
+            pairs.append((t, u))
     if not pairs:
         raise ConfigError(f"length distribution file {text} is empty")
     return pairs
@@ -241,9 +246,10 @@ def build_parser():
     p = sub.add_parser("decode", help="decode a split with a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=("greedy", "beam"), default="greedy")
-    p.add_argument("--beam-width", type=int, default=10)
-    p.add_argument("--max-symbols", type=int, default=10)
+    defaults = DecodeConfig()
+    p.add_argument("--mode", choices=("greedy", "beam"), default=defaults.mode)
+    p.add_argument("--beam-width", type=int, default=defaults.beam_width)
+    p.add_argument("--max-symbols", type=int, default=defaults.max_symbols_per_frame)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("score", help="token error rate of a decode output")

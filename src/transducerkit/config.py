@@ -6,6 +6,7 @@ overrides use the same "key=value" syntax.
 """
 
 import os
+from dataclasses import fields
 
 from .data import SyntheticTaskSpec
 from .decode import DecodeConfig
@@ -18,6 +19,10 @@ class ConfigError(ValueError):
     """Bad key, bad value, or missing referenced path (a usage error)."""
 
 
+def _section_keys(prefix, cls):  # a dataclass's seed is the run-level "seed" key
+    return {f"{prefix}.{f.name}": (f.type, f.default) for f in fields(cls) if f.name != "seed"}
+
+
 # key -> (type, default); None default means the key must be set before use.
 RUN_KEYS = {
     "seed": (int, 0),
@@ -26,7 +31,6 @@ RUN_KEYS = {
     "model.frame_stack": (int, 3),
     "model.num_labels": (int, 21),
     "model.joint_dim": (int, 64),
-    "model.joint_psi": (str, "tanh"),
     "model.encoder.cell_kind": (str, "lt_gru"),
     "model.encoder.layers": (int, 2),
     "model.encoder.hidden": (int, 64),
@@ -37,16 +41,8 @@ RUN_KEYS = {
     "model.prediction.hidden": (int, 64),
     "model.prediction.projection": (int, 0),
     "model.prediction.embed_dim": (int, 16),
-    "train.optimizer": (str, "adam"),
-    "train.lr": (float, 1e-3),
-    "train.lr_decay": (float, 1.0),
-    "train.clip_norm": (float, 5.0),
-    "train.epochs": (int, 10),
-    "train.batch_budget": (int, 1500),
-    "train.shuffle": (str, "random"),
-    "decode.mode": (str, "greedy"),
-    "decode.beam_width": (int, 10),
-    "decode.max_symbols_per_frame": (int, 10),
+    **_section_keys("train", TrainConfig),
+    **_section_keys("decode", DecodeConfig),
 }
 
 TASK_KEYS = {
@@ -149,30 +145,20 @@ def model_config_from(cfg):
         encoder=enc,
         prediction=pre,
         frame_stack=cfg["model.frame_stack"],
-        joint_psi=cfg["model.joint_psi"],
         seed=cfg["seed"],
     )
+
+
+def _section_values(cfg, prefix, cls):
+    return {f.name: cfg[f"{prefix}.{f.name}"] for f in fields(cls) if f.name != "seed"}
 
 
 def train_config_from(cfg):
-    return TrainConfig(
-        optimizer=cfg["train.optimizer"],
-        lr=cfg["train.lr"],
-        lr_decay=cfg["train.lr_decay"],
-        clip_norm=cfg["train.clip_norm"],
-        epochs=cfg["train.epochs"],
-        batch_budget=cfg["train.batch_budget"],
-        shuffle=cfg["train.shuffle"],
-        seed=cfg["seed"],
-    )
+    return TrainConfig(seed=cfg["seed"], **_section_values(cfg, "train", TrainConfig))
 
 
 def decode_config_from(cfg):
-    return DecodeConfig(
-        mode=cfg["decode.mode"],
-        beam_width=cfg["decode.beam_width"],
-        max_symbols_per_frame=cfg["decode.max_symbols_per_frame"],
-    )
+    return DecodeConfig(**_section_values(cfg, "decode", DecodeConfig))
 
 
 def task_spec_from(cfg):

@@ -155,24 +155,18 @@ def lattice_cells(utt, frame_stack=3):
     return t_enc * (len(utt.labels) + 1)
 
 
-def make_batches(utterances, budget_cells, mode="random", seed=0, frame_stack=3):
+def make_batches(utterances, budget_cells, seed=0, frame_stack=3):
     """Split a corpus into minibatches bounded by a lattice-cell budget.
 
-    mode "random" shuffles utterances (seeded) before packing; "sorted"
-    orders by (T, U) so similarly-sized sequences batch together. Batches
-    fill greedily until the next utterance would exceed the budget. A single
-    utterance over budget is an error naming the utterance.
+    Utterances are shuffled (seeded) before packing. Batches fill greedily
+    until the next utterance would exceed the budget. A single utterance over
+    budget is an error naming the utterance.
     """
     if not utterances:
         raise ValueError("empty corpus")
-    if mode not in ("random", "sorted"):
-        raise ValueError(f"unknown shuffle mode {mode!r}")
     order = list(utterances)
-    if mode == "sorted":
-        order.sort(key=lambda u: (u.features.shape[0], len(u.labels), u.utt_id))
-    else:
-        rng = np.random.default_rng(seed)
-        rng.shuffle(order)
+    rng = np.random.default_rng(seed)
+    rng.shuffle(order)
     batches = []
     cur, cur_cells = [], 0
     for utt in order:

@@ -257,10 +257,10 @@ def corpus_token_errors(pairs):
     return subs, ins, dels, ref_tokens, rate
 
 
-def reported_latency_ms(num_layers, tau, mean_delay_frames, frame_ms=30.0):
+def reported_latency_ms(num_layers, tau, mean_delay_frames):
     """User-perceived latency: encoder lookahead plus emission delay.
 
-    (num_layers*tau lookahead frames + mean alignment delay) * frame
-    duration; frames span 30ms by default (3 stacked 10ms features).
+    (num_layers*tau lookahead frames + mean alignment delay) * 30ms, the
+    span of one encoder frame (3 stacked 10ms features).
     """
-    return (num_layers * tau + mean_delay_frames) * frame_ms
+    return (num_layers * tau + mean_delay_frames) * 30.0

@@ -59,24 +59,21 @@ class PackedLattice:
 
 
 class JointNetwork:
-    """z = psi(enc_proj + pre_proj + bias), then a linear output layer.
+    """z = tanh(enc_proj + pre_proj + bias), then a linear output layer.
 
     Weights are stored input-major: u_mat (F_enc, D), v_mat (F_pre, D),
-    w_out (D, K). psi is "tanh" or "relu".
+    w_out (D, K).
     """
 
-    def __init__(self, reg, prefix, enc_dim, pre_dim, joint_dim, num_labels, rng, psi="tanh"):
+    def __init__(self, reg, prefix, enc_dim, pre_dim, joint_dim, num_labels, rng):
         if num_labels < 2:
             raise ValueError("need at least blank plus one label")
         if joint_dim < 1:
             raise ValueError("joint width must be positive")
-        if psi not in ("tanh", "relu"):
-            raise ValueError(f"unknown joint nonlinearity {psi!r}")
         self.enc_dim = enc_dim
         self.pre_dim = pre_dim
         self.joint_dim = joint_dim
         self.num_labels = num_labels
-        self.psi = psi
 
         def init(shape, fanin):
             return rng.uniform(-1.0 / np.sqrt(fanin), 1.0 / np.sqrt(fanin), shape).astype(DTYPE)
@@ -86,12 +83,6 @@ class JointNetwork:
         self.b_z = reg.add(prefix + ".b_z", np.zeros(joint_dim, dtype=DTYPE))
         self.w_out = reg.add(prefix + ".w_out", init((joint_dim, num_labels), joint_dim))
         self.b_out = reg.add(prefix + ".b_out", np.zeros(num_labels, dtype=DTYPE))
-
-    def _apply_psi(self, block):
-        if self.psi == "tanh":
-            np.tanh(block, out=block)
-        else:
-            np.maximum(block, 0.0, out=block)
 
     def combine_packed(self, enc_outputs, pre_outputs):
         """Combine per-sequence encoder/prediction outputs into a packed lattice.
@@ -117,7 +108,7 @@ class JointNetwork:
             block = lattice.block(n)
             np.add(a[:, None, :], b[None, :, :], out=block)
             block += self.b_z.value
-            self._apply_psi(block)
+            np.tanh(block, out=block)
         return lattice, (enc_outputs, pre_outputs, lattice)
 
     def project_logits(self, z):
@@ -138,10 +129,7 @@ class JointNetwork:
         self.w_out.grad += z.data.T @ d_logits.data
         self.b_out.grad += d_logits.data.sum(axis=0)
         d_z = d_logits.data @ self.w_out.value.T
-        if self.psi == "tanh":
-            d_z *= 1.0 - z.data * z.data
-        else:
-            d_z *= z.data > 0.0
+        d_z *= 1.0 - z.data * z.data
         d_enc_list, d_pre_list = [], []
         for n, (enc, pre) in enumerate(zip(enc_outputs, pre_outputs)):
             t_n, u1_n = z.dims[n]
@@ -172,9 +160,7 @@ def combine_broadcast_reference(joint, enc_outputs, pre_outputs):
     a = enc_pad @ joint.u_mat.value
     b = pre_pad @ joint.v_mat.value
     z = a[:, :, None, :] + b[:, None, :, :] + joint.b_z.value
-    if joint.psi == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+    return np.tanh(z)
 
 
 @dataclass
@@ -184,7 +170,6 @@ class BatchSpec:
     lengths: list  # (T_n, U_n) pairs
     joint_dim: int
     num_labels: int
-    bytes_per_scalar: int = 8
 
     def __post_init__(self):
         for t, u in self.lengths:
@@ -212,17 +197,17 @@ def footprint(spec, layout, stage):
             * max(t for t, _ in spec.lengths)
             * max(u + 1 for _, u in spec.lengths)
         )
-    return cells * width * spec.bytes_per_scalar
+    return cells * width * np.dtype(DTYPE).itemsize
 
 
 LOSS_STAGE_TENSORS = {"merged": 1, "chain_rule": 3}
 
 
-def sample_length_pairs(t_range, u_range, count=2048, seed=0):
-    """Draw (T, U) pairs uniformly from inclusive ranges, deterministically."""
-    rng = np.random.default_rng(seed)
-    ts = rng.integers(t_range[0], t_range[1] + 1, size=count)
-    us = rng.integers(u_range[0], u_range[1] + 1, size=count)
+def sample_length_pairs(t_range, u_range):
+    """Draw 2048 (T, U) pairs uniformly from inclusive ranges, deterministically."""
+    rng = np.random.default_rng(0)
+    ts = rng.integers(t_range[0], t_range[1] + 1, size=2048)
+    us = rng.integers(u_range[0], u_range[1] + 1, size=2048)
     return list(zip(ts.tolist(), us.tolist()))
 
 
@@ -233,7 +218,7 @@ BUILTIN_DISTS = {
 }
 
 
-def max_batch(length_pairs, memory_budget, layout, loss_variant, joint_dim, num_labels, bytes_per_scalar=8):
+def max_batch(length_pairs, memory_budget, layout, loss_variant, joint_dim, num_labels):
     """Largest modeled minibatch size under a byte budget.
 
     Directional accounting model, not a GPU simulator: the peak charges the
@@ -247,7 +232,7 @@ def max_batch(length_pairs, memory_budget, layout, loss_variant, joint_dim, num_
         raise ValueError("memory budget must be positive")
     if loss_variant not in LOSS_STAGE_TENSORS:
         raise ValueError(f"unknown loss variant {loss_variant!r}")
-    spec = BatchSpec(list(length_pairs), joint_dim, num_labels, bytes_per_scalar)
+    spec = BatchSpec(list(length_pairs), joint_dim, num_labels)
     n_loss = LOSS_STAGE_TENSORS[loss_variant]
     peak = footprint(spec, layout, "z") + n_loss * footprint(spec, layout, "logits")
     return int(memory_budget * len(spec.lengths) // peak)

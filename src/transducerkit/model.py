@@ -27,7 +27,6 @@ class ModelConfig:
     encoder: NetConfig
     prediction: NetConfig
     frame_stack: int = 3
-    joint_psi: str = "tanh"
     seed: int = 0
 
     def __post_init__(self):
@@ -62,7 +61,6 @@ class TransducerModel:
             cfg.joint_dim,
             cfg.num_labels,
             rng,
-            psi=cfg.joint_psi,
         )
 
     @property
@@ -73,7 +71,7 @@ class TransducerModel:
 
     def encode(self, features):
         """Raw features (T_raw, feature_dim) -> encoder outputs (T_enc, F)."""
-        stacked = stack_frames(features, self.cfg.frame_stack, self.cfg.frame_stack)
+        stacked = stack_frames(features, self.cfg.frame_stack)
         outs, cache = self.encoder.forward(stacked)
         return outs, cache
 
@@ -137,7 +135,7 @@ class TransducerModel:
         """Output log-probabilities for one (frame, label-position) cell."""
         j = self.joint
         z = enc_vec @ j.u_mat.value + pred_vec @ j.v_mat.value + j.b_z.value
-        j._apply_psi(z)
+        np.tanh(z, out=z)
         logits = z @ j.w_out.value + j.b_out.value
         m = logits.max()
         return logits - (m + np.log(np.exp(logits - m).sum()))

@@ -75,17 +75,17 @@ class NetConfig:
         return self.cell_kind in CONTEXTUAL_KINDS
 
 
-def stack_frames(feats, size=3, stride=3):
-    """Stack consecutive feature rows into wider frames (zero-padded tail).
+def stack_frames(feats, size):
+    """Stack runs of ``size`` consecutive feature rows into wider frames (zero-padded tail).
 
-    feats: (T_raw, d) -> (ceil(T_raw/stride), size*d).
+    feats: (T_raw, d) -> (ceil(T_raw/size), size*d).
     """
     feats = np.asarray(feats, dtype=DTYPE)
     t_raw, d = feats.shape
-    t_out = (t_raw + stride - 1) // stride
+    t_out = (t_raw + size - 1) // size
     out = np.zeros((t_out, size * d), dtype=DTYPE)
     for k in range(size):
-        src = feats[k::stride]
+        src = feats[k::size]
         out[: src.shape[0], k * d : (k + 1) * d] = src
     return out
 
@@ -274,13 +274,10 @@ class PredictionNet:
 
     Output u encodes the prefix y_1..y_u; position 0 starts from the all-zero
     embedding. ``table`` is the learned token embedding; its row 0 (blank)
-    exists but is never consumed. Contextual kinds are rejected (label
-    lookahead is meaningless).
+    exists but is never consumed.
     """
 
     def __init__(self, reg, prefix, cfg, num_labels, rng):
-        if cfg.is_contextual:
-            raise ValueError("contextual cell kinds are only valid for the encoder")
         self.cfg = cfg
         self.num_labels = num_labels
         dim = cfg.input_dim

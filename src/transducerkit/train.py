@@ -26,7 +26,6 @@ class TrainConfig:
     clip_norm: float = 5.0
     epochs: int = 10
     batch_budget: int = 1500  # max sum of T_enc*(U+1) lattice cells per batch
-    shuffle: str = "random"
     seed: int = 0
 
     def __post_init__(self):
@@ -36,8 +35,6 @@ class TrainConfig:
             raise ValueError("lr must be >= 0, clip_norm > 0, epochs >= 0")
         if not 0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must be in (0, 1]")
-        if self.shuffle not in ("random", "sorted"):
-            raise ValueError(f"unknown shuffle mode {self.shuffle!r}")
 
 
 class Sgd:
@@ -51,26 +48,27 @@ class Sgd:
 
 
 class Adam:
-    def __init__(self, registry, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, registry, lr):
         self.registry = registry
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {p.name: np.zeros_like(p.value) for p in registry}
         self.v = {p.name: np.zeros_like(p.value) for p in registry}
 
     def step(self):
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         for p in self.registry:
             m = self.m[p.name]
             v = self.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            p.value -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * p.grad
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * p.grad * p.grad
+            p.value -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
 
 
 def make_optimizer(registry, cfg):
@@ -97,7 +95,6 @@ def fit(model, train_utts, cfg, dev_utts=None, log=None, on_epoch=None):
         batches = make_batches(
             train_utts,
             cfg.batch_budget,
-            mode=cfg.shuffle,
             seed=cfg.seed + epoch,
             frame_stack=model.cfg.frame_stack,
         )
@@ -153,9 +150,9 @@ def save_checkpoint(path, model, step=0):
 
 
 def load_checkpoint(path):
-    """Rebuild the model and restore every tensor bitwise.
+    """Rebuild the model and restore every tensor bitwise, each exactly once.
 
-    Returns (model, header dict)."""
+    Older model headers carry "joint_psi": "tanh", which is dropped. Returns (model, header dict)."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "checkpoint magic")
         if magic != CHECKPOINT_MAGIC:
@@ -168,19 +165,29 @@ def load_checkpoint(path):
                              f"set per gate); this version reads only version {CHECKPOINT_VERSION}")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        psi = header["model"].pop("joint_psi", "tanh")
+        if psi != "tanh":
+            raise ValueError(f"{path}: joint_psi {psi!r} is not supported; the joint is tanh only")
         cfg = ModelConfig(**header["model"])
         model = TransducerModel(cfg)
+        loaded = set()
         for _ in header["params"]:
             (nlen,) = struct.unpack("<I", _read_exact(f, 4, "parameter name length"))
             name = _read_exact(f, nlen, "parameter name").decode()
             value = read_tensor(f)
             if name not in model.registry:
                 raise ValueError(f"checkpoint parameter {name} not in model")
+            if name in loaded:
+                raise ValueError(f"{path}: parameter {name} appears more than once")
+            loaded.add(name)
             p = model.registry[name]
             if p.value.shape != value.shape:
                 raise ValueError(f"checkpoint parameter {name} has shape {value.shape}, "
                                  f"model expects {p.value.shape}")
             p.value[...] = value
+        missing = [p.name for p in model.registry if p.name not in loaded]
+        if missing:
+            raise ValueError(f"{path}: parameter {missing[0]} is missing")
         if f.read(1):
             raise ValueError(f"{path}: unexpected bytes after the last parameter")
     return model, header

@@ -5,8 +5,10 @@ import pytest
 
 from transducerkit import decode as decode_mod
 from transducerkit.cli import main
+from transducerkit.config import RUN_KEYS, RunConfig, decode_config_from, train_config_from
 from transducerkit.data import load_split
-from transducerkit.decode import alignment_delay, greedy_decode
+from transducerkit.decode import DecodeConfig, alignment_delay, greedy_decode
+from transducerkit.train import TrainConfig
 
 TASK_SPEC = """
 task.num_labels = 6
@@ -190,6 +192,19 @@ class TestBenchMem:
     def test_unknown_builtin_is_usage_error(self, capsys):
         assert main(["bench-mem", "--dist", "builtin:nope"]) == 1
 
+    @pytest.mark.parametrize("line,message", [
+        ("100", "expected two integers 'T<TAB>U', got '100'"),
+        ("100\t10\t3", "expected two integers"),
+        ("100\tten", "expected two integers"),
+        ("-3\t2", "invalid sequence lengths (T=-3, U=2)"),
+        ("5\t-1", "invalid sequence lengths (T=5, U=-1)"),
+    ])
+    def test_dist_file_errors_name_file_and_line(self, tmp_path, capsys, line, message):
+        dist = tmp_path / "dist.tsv"
+        dist.write_text(f"# T<TAB>U\n100\t10\n{line}\n")
+        assert main(["bench-mem", "--dist", str(dist)]) == 1
+        assert f"config error: {dist}:3: {message}" in capsys.readouterr().err
+
     # max_n per (layout, loss variant, k) row, in output order, with the
     # default budget (16e9 bytes) and joint width (640)
     @pytest.mark.parametrize("dist,max_n", [
@@ -208,6 +223,58 @@ class TestBenchMem:
         expected = ["# schema: v1", "layout\tloss_variant\tk\tmax_n"]
         expected += [f"{row}\t{n}" for row, n in zip(rows, max_n)]
         assert capsys.readouterr().out.splitlines() == expected
+
+
+DEFAULT_EFFECTIVE_CONFIG = """\
+decode.beam_width = 10
+decode.max_symbols_per_frame = 10
+decode.mode = greedy
+model.encoder.cell_kind = lt_gru
+model.encoder.hidden = 64
+model.encoder.layers = 2
+model.encoder.projection = 0
+model.encoder.tau = 0
+model.feature_dim = 20
+model.frame_stack = 3
+model.joint_dim = 64
+model.num_labels = 21
+model.prediction.cell_kind = ln_gru
+model.prediction.embed_dim = 16
+model.prediction.hidden = 64
+model.prediction.layers = 1
+model.prediction.projection = 0
+seed = 0
+train.batch_budget = 1500
+train.clip_norm = 5.0
+train.epochs = 10
+train.lr = 0.001
+train.lr_decay = 1.0
+train.optimizer = adam
+"""
+
+
+class TestConfigSchema:
+    # the train.* and decode.* keys come from the TrainConfig and
+    # DecodeConfig fields; the dump and the value types must not move
+    def test_default_dump_pinned(self, tmp_path):
+        RunConfig().dump(tmp_path / "c.cfg")
+        assert (tmp_path / "c.cfg").read_text() == DEFAULT_EFFECTIVE_CONFIG
+
+    def test_section_types_pinned(self):
+        types = {key: typ for key, (typ, _) in RUN_KEYS.items() if key.startswith(("train.", "decode."))}
+        assert types == {
+            "train.optimizer": str, "train.lr": float, "train.lr_decay": float, "train.clip_norm": float,
+            "train.epochs": int, "train.batch_budget": int,
+            "decode.mode": str, "decode.beam_width": int, "decode.max_symbols_per_frame": int,
+        }
+
+    def test_builders_read_every_section_key(self):
+        cfg = RunConfig.load(overrides=["seed=4", "train.optimizer=sgd", "train.lr=0.5", "train.lr_decay=0.5",
+                                        "train.clip_norm=2", "train.epochs=3", "train.batch_budget=7",
+                                        "decode.mode=beam", "decode.beam_width=3",
+                                        "decode.max_symbols_per_frame=2"])
+        assert train_config_from(cfg) == TrainConfig("sgd", 0.5, 0.5, 2.0, 3, 7, seed=4)
+        assert decode_config_from(cfg) == DecodeConfig("beam", 3, 2)
 
 
 class TestErrors:

@@ -136,25 +136,18 @@ class TestMakeBatches:
         for batch in make_batches(utts, budget, frame_stack=3):
             assert sum(lattice_cells(u, 3) for u in batch) <= budget
 
-    def test_sorted_mode_orders_by_length(self):
-        utts = self.make_corpus([(30, 2), (6, 1), (18, 4), (6, 3)])
-        batches = make_batches(utts, budget_cells=40, mode="sorted", frame_stack=3)
-        flat = [u for b in batches for u in b]
-        lengths = [u.features.shape[0] for u in flat]
-        assert lengths == sorted(lengths)
-
     def test_random_mode_seeds_differ(self):
         utts = self.make_corpus([(9, 2)] * 30)
-        a = make_batches(utts, 50, mode="random", seed=0)
-        b = make_batches(utts, 50, mode="random", seed=1)
+        a = make_batches(utts, 50, seed=0)
+        b = make_batches(utts, 50, seed=1)
         ids_a = [[u.utt_id for u in batch] for batch in a]
         ids_b = [[u.utt_id for u in batch] for batch in b]
         assert ids_a != ids_b
 
     def test_random_mode_deterministic_per_seed(self):
         utts = self.make_corpus([(9, 2)] * 20)
-        a = make_batches(utts, 50, mode="random", seed=3)
-        b = make_batches(utts, 50, mode="random", seed=3)
+        a = make_batches(utts, 50, seed=3)
+        b = make_batches(utts, 50, seed=3)
         assert [[u.utt_id for u in x] for x in a] == [[u.utt_id for u in x] for x in b]
 
     def test_oversized_utterance_named(self):

@@ -478,6 +478,3 @@ class TestLatencyFormula:
 
     def test_no_lookahead_configuration(self):
         assert reported_latency_ms(6, 0, 10.0) == 300.0
-
-    def test_frame_duration_scales(self):
-        assert reported_latency_ms(2, 1, 3.0, frame_ms=10.0) == 50.0

@@ -81,7 +81,7 @@ class TestInitBitwise:
         check_net(model.prediction.net)
         reg = ParamRegistry()
         JointNetwork(reg, "joint", model.encoder.out_dim, model.prediction.out_dim,
-                     model.cfg.joint_dim, model.cfg.num_labels, rng, psi=model.cfg.joint_psi)
+                     model.cfg.joint_dim, model.cfg.num_labels, rng)
         for p in reg:
             assert_bytes_equal(model.registry[p.name].value, p.value)
 

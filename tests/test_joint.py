@@ -17,10 +17,10 @@ from transducerkit.joint import (
 from transducerkit.tensor import ParamRegistry, grad_check
 
 
-def make_joint(enc_dim=3, pre_dim=2, joint_dim=4, num_labels=5, psi="tanh", seed=0):
+def make_joint(enc_dim=3, pre_dim=2, joint_dim=4, num_labels=5, seed=0):
     reg = ParamRegistry()
     net = JointNetwork(reg, "joint", enc_dim, pre_dim, joint_dim, num_labels,
-                       np.random.default_rng(seed), psi=psi)
+                       np.random.default_rng(seed))
     return reg, net
 
 
@@ -72,9 +72,8 @@ class TestCombine:
         assert z.data.shape == (1, 4)
         npt.assert_allclose(z.data[0], expect, atol=1e-15)
 
-    @pytest.mark.parametrize("psi", ["tanh", "relu"])
-    def test_matches_broadcast_reference(self, psi):
-        reg, net = make_joint(psi=psi, seed=2)
+    def test_matches_broadcast_reference(self):
+        reg, net = make_joint(seed=2)
         lengths = [(3, 3), (5, 5), (2, 1)]
         enc, pre = random_io(net, lengths, seed=3)
         z, _ = net.combine_packed(enc, pre)
@@ -131,20 +130,19 @@ class TestProjectLogits:
 
 class TestJointBackward:
     def test_params_finite_differences(self):
-        for psi in ("tanh", "relu"):
-            reg, net = make_joint(psi=psi, seed=4)
-            lengths = [(3, 2), (2, 3)]
-            enc, pre = random_io(net, lengths, seed=5)
-            rng = np.random.default_rng(6)
-            probes = rng.normal(size=(3 * 2 + 2 * 3, net.num_labels))
+        reg, net = make_joint(seed=4)
+        lengths = [(3, 2), (2, 3)]
+        enc, pre = random_io(net, lengths, seed=5)
+        rng = np.random.default_rng(6)
+        probes = rng.normal(size=(3 * 2 + 2 * 3, net.num_labels))
 
-            def loss():
-                z, cache = net.combine_packed(enc, pre)
-                logits = net.project_logits(z)
-                net.backward(PackedLattice(probes.copy(), logits.dims), cache)
-                return float((logits.data * probes).sum())
+        def loss():
+            z, cache = net.combine_packed(enc, pre)
+            logits = net.project_logits(z)
+            net.backward(PackedLattice(probes.copy(), logits.dims), cache)
+            return float((logits.data * probes).sum())
 
-            assert grad_check(loss, reg, step=1e-5) < 1e-5
+        assert grad_check(loss, reg, step=1e-5) < 1e-5
 
     def test_input_grads_finite_differences(self):
         reg, net = make_joint(seed=7)
@@ -228,7 +226,7 @@ class TestFootprint:
 
 class TestMaxBatch:
     def test_budget_doubling(self):
-        pairs = sample_length_pairs((10, 100), (2, 20), seed=11)
+        pairs = sample_length_pairs((10, 100), (2, 20))
         for layout in ("packed", "broadcast"):
             for variant in ("merged", "chain_rule"):
                 n1 = max_batch(pairs, 1e8, layout, variant, 640, 4096)
@@ -253,7 +251,7 @@ class TestMaxBatch:
         assert abs(n_merged / n_chain - analytic) / analytic < 0.01
 
     def test_direction_of_output_size(self):
-        pairs = sample_length_pairs((50, 400), (5, 40), seed=12)
+        pairs = sample_length_pairs((50, 400), (5, 40))
         budget = 16e9
         for k in (4096, 36000):
             merged = max_batch(pairs, budget, "packed", "merged", 640, k)

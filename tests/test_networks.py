@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from transducerkit.model import ModelConfig
 from transducerkit.networks import (
     NetConfig,
     PredictionNet,
@@ -41,14 +42,14 @@ class TestConfig:
 class TestStackFrames:
     def test_non_overlapping(self):
         feats = np.arange(12, dtype=float).reshape(6, 2)
-        out = stack_frames(feats, 3, 3)
+        out = stack_frames(feats, 3)
         assert out.shape == (2, 6)
         npt.assert_array_equal(out[0], [0, 1, 2, 3, 4, 5])
         npt.assert_array_equal(out[1], [6, 7, 8, 9, 10, 11])
 
     def test_zero_padded_tail(self):
         feats = np.ones((4, 2))
-        out = stack_frames(feats, 3, 3)
+        out = stack_frames(feats, 3)
         assert out.shape == (2, 6)
         npt.assert_array_equal(out[1], [1, 1, 0, 0, 0, 0])
 
@@ -261,10 +262,11 @@ class TestPredictionNet:
         return reg, net
 
     def test_contextual_rejected(self):
-        reg = ParamRegistry()
-        cfg = NetConfig(cell_kind="eclt_gru", num_layers=1, hidden=4, input_dim=3, tau=1)
-        with pytest.raises(ValueError):
-            PredictionNet(reg, "pre", cfg, 6, np.random.default_rng(0))
+        # PredictionNet is only built from a ModelConfig, which holds the check
+        enc = NetConfig(cell_kind="lt_gru", num_layers=1, hidden=4, input_dim=6)
+        pre = NetConfig(cell_kind="eclt_gru", num_layers=1, hidden=4, input_dim=3, tau=1)
+        with pytest.raises(ValueError, match="only valid for the encoder"):
+            ModelConfig(feature_dim=2, num_labels=6, joint_dim=4, encoder=enc, prediction=pre)
 
     def test_empty_prefix_single_output(self):
         _, net = self.make()

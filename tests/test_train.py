@@ -45,6 +45,28 @@ def snapshot(model):
     return {p.name: p.value.copy() for p in model.registry}
 
 
+def split_checkpoint(raw):
+    """(header dict, raw bytes of each parameter record) of a checkpoint."""
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + hlen])
+    records, pos = [], 8 + hlen
+    for _ in header["params"]:
+        (nlen,) = struct.unpack("<I", raw[pos : pos + 4])
+        tensor = pos + 4 + nlen
+        (rank,) = struct.unpack("<I", raw[tensor + 4 : tensor + 8])
+        shape = struct.unpack(f"<{rank}Q", raw[tensor + 8 : tensor + 8 + 8 * rank])
+        end = tensor + 8 + 8 * rank + 8 * math.prod(shape)
+        records.append(raw[pos:end])
+        pos = end
+    assert pos == len(raw)
+    return header, records
+
+
+def join_checkpoint(header, records):
+    blob = json.dumps(header).encode()
+    return b"TKC1" + struct.pack("<I", len(blob)) + blob + b"".join(records)
+
+
 class TestFit:
     def test_zero_lr_leaves_params_bitwise_unchanged(self):
         for opt in ("sgd", "adam"):
@@ -118,7 +140,7 @@ class TestFit:
         corpus = small_corpus(n=3, seed=11)
         model.joint.b_out.value[0] = -np.inf  # blank prob 0 -> infinite loss
         cfg = TrainConfig(lr=1e-3, epochs=1, batch_budget=500, seed=0)
-        first = make_batches(corpus["train"], cfg.batch_budget, mode=cfg.shuffle, seed=cfg.seed)[0]
+        first = make_batches(corpus["train"], cfg.batch_budget, seed=cfg.seed)[0]
         ids = ",".join(u.utt_id for u in first)
         # the loss is checked before any backward pass, so no NaN arithmetic runs
         with pytest.raises(RuntimeError, match=re.escape(f"on batch [{ids}]")):
@@ -164,6 +186,42 @@ class TestCheckpoint:
         assert got["rng_state"] == {"x": 1} and got["step"] == 4
         for p in model.registry:
             assert loaded.registry[p.name].value.tobytes() == p.value.tobytes()
+
+    def test_parent_joint_psi_header(self, tmp_path):
+        # headers written while the joint had a psi option carry its value;
+        # "tanh" is today's joint, anything else names the file
+        model = small_model(seed=21)
+        path = tmp_path / "psi.tkc"
+        save_checkpoint(path, model)
+        header, records = split_checkpoint(path.read_bytes())
+        header["model"]["joint_psi"] = "tanh"
+        path.write_bytes(join_checkpoint(header, records))
+        loaded, _ = load_checkpoint(path)
+        for p in model.registry:
+            assert loaded.registry[p.name].value.tobytes() == p.value.tobytes()
+        header["model"]["joint_psi"] = "relu"
+        path.write_bytes(join_checkpoint(header, records))
+        with pytest.raises(ValueError, match="psi.tkc: joint_psi 'relu'"):
+            load_checkpoint(path)
+
+    def test_missing_parameter_named(self, tmp_path):
+        path = tmp_path / "short.tkc"
+        save_checkpoint(path, small_model(seed=22))
+        header, records = split_checkpoint(path.read_bytes())
+        assert header["params"][-1] == "joint.b_out"
+        header["params"].pop()
+        path.write_bytes(join_checkpoint(header, records[:-1]))
+        with pytest.raises(ValueError, match="short.tkc: parameter joint.b_out is missing"):
+            load_checkpoint(path)
+
+    def test_repeated_parameter_named(self, tmp_path):
+        path = tmp_path / "twice.tkc"
+        save_checkpoint(path, small_model(seed=23))
+        header, records = split_checkpoint(path.read_bytes())
+        header["params"].append(header["params"][0])
+        path.write_bytes(join_checkpoint(header, records + records[:1]))
+        with pytest.raises(ValueError, match=f"twice.tkc: parameter {header['params'][0]} appears more than once"):
+            load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.tkc"
