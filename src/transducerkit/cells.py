@@ -12,11 +12,10 @@ view over its last axis.
 
 ``step(x, prev)`` advances every row of ``x`` by one step from the matching
 row of ``prev`` (rows are independent: one frame, or a whole depth column).
-``forward(X, state0)`` runs the recurrence over a sequence, projecting all
-inputs with one matrix product before the time loop. ``backward`` reverses
-either, leaving only the recurrent products inside its time loop; parameter
-gradients accumulate into the owning ParamRegistry buffers as one matrix
-product per weight.
+``forward(X, pack)`` runs the recurrence over a packed minibatch
+(``packing.Packing``): one input projection, then one step per time index
+over the sequences still running. ``backward`` reverses either; parameter
+gradients accumulate into the ParamRegistry as one matrix product each.
 """
 
 import numpy as np
@@ -85,15 +84,16 @@ class _FusedCell:
         self._gain = self.ln_gain.value.reshape(G, H)
         self._bias = self.ln_bias.value.reshape(G, H)
 
-    def _accumulate(self, d_a, d_s, vhat, x):
-        """Gradients of wx, b and the gate layer norms; returns 2-D d_a."""
-        d_a = _rows2(d_a)
-        d_s = d_s.reshape(d_a.shape)
-        self.wx.grad += d_a.T @ _rows2(x)
-        self.b.grad += d_a.sum(axis=0)
-        self.ln_gain.grad += (d_s * vhat.reshape(d_a.shape)).sum(axis=0)
-        self.ln_bias.grad += d_s.sum(axis=0)
-        return d_a
+    def _accumulate(self, gates, d_a, d_s, vhat, x):
+        """Gradients of wx, b and the layer norms of the stacked rows
+        ``gates``; returns the input gradient through those rows."""
+        d_a2 = _rows2(d_a)
+        d_s = d_s.reshape(d_a2.shape)
+        self.wx.grad[gates] += d_a2.T @ _rows2(x)
+        self.b.grad[gates] += d_a2.sum(axis=0)
+        self.ln_gain.grad[gates] += (d_s * vhat.reshape(d_a2.shape)).sum(axis=0)
+        self.ln_bias.grad[gates] += d_s.sum(axis=0)
+        return d_a @ self.wx.value[gates]
 
     def step(self, x, prev):
         """One step for each row of ``x``; returns (CellState, cache)."""
@@ -101,48 +101,53 @@ class _FusedCell:
             raise ValueError(f"{self.state_kind} input dim {x.shape[-1]} != {self.input_dim}")
         return self._rows(x @ self.wx.value.T + self.b.value, x, prev)
 
-    def forward(self, xs, state0):
-        """Run the recurrence over ``xs (T, input_dim)`` from ``state0``.
-
-        Returns (CellState of (T, .) outputs, cache for backward)."""
+    def forward(self, xs, pack):
+        """Run the recurrence from zero states over the packed rows ``xs (R,
+        input_dim)``; returns (CellState of (R, .) outputs, cache). The state
+        arrays put ``n0`` zero initial states before the packed rows. Only the
+        states are kept: backward recomputes every step's cache at once."""
         if xs.shape[-1] != self.input_dim:
             raise ValueError(f"{self.state_kind} input dim {xs.shape[-1]} != {self.input_dim}")
-        T = xs.shape[0]
+        n0 = pack.sizes[0]
         xw = xs @ self.wx.value.T + self.b.value
-        # Row 0 holds state0; each step writes its state into the next row.
-        hs = np.empty((T + 1, self.out_dim), dtype=DTYPE)
-        hs[0] = state0.h
-        cs = None
-        if state0.c is not None:
-            cs = np.empty((T + 1, self.hidden), dtype=DTYPE)
-            cs[0] = state0.c
-        state = CellState(hs[0], None if cs is None else cs[0])
-        steps = []
-        for t in range(T):
-            state, cache = self._rows(xw[t], xs[t], state, hs[t + 1], None if cs is None else cs[t + 1])
-            steps.append(cache)
-        return CellState(hs[1:], None if cs is None else cs[1:]), (_SEQUENCE, xs, hs, cs, steps)
+        hs = np.zeros((n0 + len(xs), self.out_dim), dtype=DTYPE)
+        cs = np.zeros((n0 + len(xs), self.hidden), dtype=DTYPE) if self.state_kind == "lstm" else None
+        for prev, cur, row in pack.steps:
+            self._rows(xw[row], None, CellState(hs[prev], None if cs is None else cs[prev]),
+                       hs[cur], None if cs is None else cs[cur])
+        return CellState(hs[n0:], None if cs is None else cs[n0:]), (_SEQUENCE, xs, pack, hs, cs)
 
     def backward(self, d_h, d_c, cache):
-        """Reverse of step() or forward(). Returns (d_x, d_h_prev, d_c_prev):
-        per row for a step cache; for a forward cache, d_x per frame and the
-        gradients on ``state0``. ``d_c`` may be None (no memory gradient)."""
+        """Reverse of step() or forward(). Returns (d_x, d_h_prev, d_c_prev),
+        per row; for forward(), d_x per packed row, the gradients on the zero
+        initial states, and ``d_c`` unused. ``d_c`` may be None."""
         if cache is None:
             raise ValueError(f"{self.state_kind} backward called without a forward cache")
         if cache[0] is not _SEQUENCE:
             d_h_prev, d_c_prev, grads = self._chain(d_h, d_c, cache)
             return self._finish(grads, cache), d_h_prev, d_c_prev
-        _, xs, hs, cs, steps = cache
-        grads = [None] * len(steps)
-        d_h_prev, d_c_prev = 0.0, None
-        for t in range(len(steps) - 1, -1, -1):
-            if d_c is not None:
-                d_c_prev = d_c[t] if d_c_prev is None else d_c_prev + d_c[t]
-            d_h_prev, d_c_prev, grads[t] = self._chain(d_h[t] + d_h_prev, d_c_prev, steps[t])
-        # Every cache field but (x, h_prev, c_prev) stacked over frames.
-        stacked = (xs, hs[:-1], None if cs is None else cs[:-1])
-        stacked += tuple(np.array(field) for field in list(zip(*steps))[3:])
-        return self._finish(tuple(np.array(g) for g in zip(*grads)), stacked), d_h_prev, d_c_prev
+        _, xs, pack, hs, cs = cache
+        n0 = pack.sizes[0]
+        # every step's cache at once: one row-parallel step from the stored states
+        fields = self._rows(xs @ self.wx.value.T + self.b.value, xs,
+                            CellState(hs[pack.prev_rows], None if cs is None else cs[pack.prev_rows]))[1]
+        # each step adds its previous-state gradients into the rows it read
+        d_hs = np.zeros_like(hs)
+        d_hs[n0:] = d_h
+        d_cs = None if cs is None else np.zeros_like(cs)
+        grads = None
+        for prev, cur, row in reversed(pack.steps):
+            step = tuple(None if f is None else f[row] for f in fields)
+            d_h_prev, d_c_prev, g = self._chain(d_hs[cur], None if cs is None else d_cs[cur], step)
+            d_hs[prev] += d_h_prev
+            if cs is not None:
+                d_cs[prev] = d_c_prev
+            if grads is None:
+                # a one-row step (int index) gives vectors, with no row axis to drop
+                grads = [np.empty((len(xs),) + a.shape[isinstance(row, slice):], dtype=DTYPE) for a in g]
+            for buf, a in zip(grads, g):
+                buf[row] = a
+        return self._finish(grads, fields), d_hs[:n0], None if cs is None else d_cs[:n0]
 
 
 class LnLstmCell(_FusedCell):
@@ -211,13 +216,12 @@ class LnLstmCell(_FusedCell):
     def _finish(self, grads, cache):
         d_a, d_s, d_cn, d_h = grads
         x, h_prev, _, sg, _, vhat, _, vhat_c, _, tc = cache
-        d_a2 = self._accumulate(d_a, d_s, vhat, x)
-        self.wh.grad += d_a2.T @ _rows2(h_prev)
+        self.wh.grad += _rows2(d_a).T @ _rows2(h_prev)
         self.w_proj.grad += _rows2(d_h).T @ _rows2(sg[..., 2, :] * tc)
         d_cn = _rows2(d_cn)
         self.cell_gain.grad += (d_cn * _rows2(vhat_c)).sum(axis=0)
         self.cell_bias.grad += d_cn.sum(axis=0)
-        return d_a @ self.wx.value
+        return self._accumulate(slice(None), d_a, d_s, vhat, x)
 
     @property
     def out_dim(self):
@@ -276,14 +280,12 @@ class LnGruCell(_FusedCell):
     def _finish(self, grads, cache):
         d_a_zr, d_a_h, d_s_zr, d_s_h = grads
         x, h_prev, _, zr, _, vhat_zr, _, vhat_h, _ = cache
-        H = self.hidden
-        d_a = np.concatenate((d_a_zr, d_a_h), axis=-1)
-        d_s = np.concatenate((d_s_zr.reshape(d_a_zr.shape), d_s_h), axis=-1)
-        vhat = np.concatenate((vhat_zr.reshape(d_a_zr.shape), vhat_h), axis=-1)
-        self._accumulate(d_a, d_s, vhat, x)
-        self.wh.grad[: 2 * H] += _rows2(d_a_zr).T @ _rows2(h_prev)
-        self.wh.grad[2 * H :] += _rows2(d_a_h).T @ _rows2(zr[..., 1, :] * h_prev)
-        return d_a @ self.wx.value
+        zr_rows, h_rows = slice(0, 2 * self.hidden), slice(2 * self.hidden, None)
+        self.wh.grad[zr_rows] += _rows2(d_a_zr).T @ _rows2(h_prev)
+        self.wh.grad[h_rows] += _rows2(d_a_h).T @ _rows2(zr[..., 1, :] * h_prev)
+        d_x = self._accumulate(zr_rows, d_a_zr, d_s_zr, vhat_zr, x)
+        d_x += self._accumulate(h_rows, d_a_h, d_s_h, vhat_h, x)
+        return d_x
 
     @property
     def out_dim(self):

@@ -14,6 +14,7 @@ import numpy as np
 from . import loss as loss_mod
 from .joint import JointNetwork
 from .networks import NetConfig, PredictionNet, SequenceNet, stack_frames
+from .packing import Packing
 from .tensor import ParamRegistry, softmax_inplace
 
 
@@ -76,21 +77,20 @@ class TransducerModel:
         return outs, cache
 
     def forward_batch(self, batch):
-        """batch: list of (features, labels). Returns (logits lattice, caches)."""
-        enc_outs, enc_caches = [], []
-        pre_outs, pre_caches = [], []
-        labels_list = []
-        for features, labels in batch:
-            eo, ec = self.encode(features)
-            po, pc = self.prediction.forward(labels)
-            enc_outs.append(eo)
-            enc_caches.append(ec)
-            pre_outs.append(po)
-            pre_caches.append(pc)
-            labels_list.append(list(labels))
-        z, joint_cache = self.joint.combine_packed(enc_outs, pre_outs)
+        """batch: list of (features, labels). Returns (logits lattice, caches).
+
+        Each network runs once over the whole minibatch in a packed,
+        length-sorted layout; the joint gets per-utterance blocks in batch
+        order."""
+        feats = [stack_frames(features, self.cfg.frame_stack) for features, _ in batch]
+        labels_list = [list(labels) for _, labels in batch]
+        enc_pack = Packing([len(x) for x in feats])
+        pre_pack = Packing([len(labels) + 1 for labels in labels_list])
+        enc_outs, enc_cache = self.encoder.forward(enc_pack.pack(feats), enc_pack)
+        pre_outs, pre_cache = self.prediction.forward(labels_list, pre_pack)
+        z, joint_cache = self.joint.combine_packed(enc_pack.unpack(enc_outs), pre_pack.unpack(pre_outs))
         logits = self.joint.project_logits(z)
-        return logits, (enc_caches, pre_caches, joint_cache, labels_list)
+        return logits, ((enc_pack, enc_cache), (pre_pack, pre_cache), joint_cache, labels_list)
 
     def batch_loss(self, batch):
         """Mean per-utterance loss, no gradients."""
@@ -107,7 +107,7 @@ class TransducerModel:
         pass runs, leaving the gradients untouched.
         """
         logits, caches = self.forward_batch(batch)
-        enc_caches, pre_caches, joint_cache, labels_list = caches
+        enc_cache, pre_cache, joint_cache, labels_list = caches
         softmax_inplace(logits.data)
         ws = loss_mod.forward_backward(logits, labels_list)
         loss = ws.loss_mean
@@ -115,19 +115,17 @@ class TransducerModel:
             return loss
         d_logits = loss_mod.grad_logits_merged(ws)
         d_logits.data *= 1.0 / len(batch)  # mean over utterances, still in place
-        self.backprop_to_networks(d_logits, (enc_caches, pre_caches, joint_cache))
+        self.backprop_to_networks(d_logits, (enc_cache, pre_cache, joint_cache))
         return loss
 
     def backprop_to_networks(self, d_logits, caches):
         """Route packed logit gradients into joint, encoder, and prediction
         parameters. Encoder gradients at each frame sum over label positions
         and vice versa (done inside the joint backward)."""
-        enc_caches, pre_caches, joint_cache = caches
+        (enc_pack, enc_cache), (pre_pack, pre_cache), joint_cache = caches
         d_enc_list, d_pre_list = self.joint.backward(d_logits, joint_cache)
-        for d_enc, cache in zip(d_enc_list, enc_caches):
-            self.encoder.backward(d_enc, cache)
-        for d_pre, cache in zip(d_pre_list, pre_caches):
-            self.prediction.backward(d_pre, cache)
+        self.encoder.backward(enc_pack.pack(d_enc_list), enc_cache)
+        self.prediction.backward(pre_pack.pack(d_pre_list), pre_cache)
 
     # ----- decoding support -----
 

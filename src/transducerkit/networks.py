@@ -15,9 +15,12 @@ Three wirings per cell family:
 Depth-cell wiring reuses the plain cells: the recurrent slot carries the
 time-cell output at the same (frame, layer), the input slot carries the
 depth output (or lookahead combination) from the layer below, and for LSTM
-the memory-cell slot carries the depth memory from the layer below. All of
-these exist for every frame before a depth layer runs, so a depth layer is
-one row-parallel cell step over the whole sequence, not a time loop.
+the memory-cell slot carries the depth memory from the layer below.
+
+A minibatch runs as one packed, length-sorted array of rows
+(``packing.Packing``): a time layer is one recurrence over every sequence,
+and a depth layer or context boundary one row-parallel pass over every
+frame. One sequence is the N=1 case.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import CellState, LnGruCell, LnLstmCell, _uniform_init
+from .packing import single
 from .tensor import DTYPE
 
 CELL_KINDS = ("ln_lstm", "lt_lstm", "clt_lstm", "ln_gru", "lt_gru", "eclt_gru")
@@ -82,12 +86,9 @@ def stack_frames(feats, size):
     """
     feats = np.asarray(feats, dtype=DTYPE)
     t_raw, d = feats.shape
-    t_out = (t_raw + size - 1) // size
-    out = np.zeros((t_out, size * d), dtype=DTYPE)
-    for k in range(size):
-        src = feats[k::size]
-        out[: src.shape[0], k * d : (k + 1) * d] = src
-    return out
+    out = np.zeros((-(-t_raw // size) * size, d), dtype=DTYPE)
+    out[:t_raw] = feats
+    return out.reshape(-1, size * d)
 
 
 class SequenceNet:
@@ -133,89 +134,80 @@ class SequenceNet:
     def out_dim(self):
         return self.cfg.out_dim
 
-    # ----- full-sequence forward/backward (training path) -----
-
-    def forward(self, xs):
-        """Run the whole network over a sequence.
-
-        xs: (T, input_dim) array. Returns (outputs (T, out_dim), cache).
-        Time cells run their recurrence; each depth layer is one step of
-        its cell over all T frames at once, since every slot it reads is
-        known before it runs.
-        """
+    def forward(self, xs, pack=None):
+        """Run the network over the rows ``xs (R, input_dim)`` of a minibatch
+        laid out by ``pack`` (None: one sequence). Returns (outputs
+        (R, out_dim) in that layout, cache). A depth layer is one step of
+        its cell over all rows, since every slot it reads is known."""
         xs = np.asarray(xs, dtype=DTYPE)
-        if xs.ndim != 2 or xs.shape[0] == 0:
-            raise ValueError("forward needs a non-empty (T, input_dim) sequence")
+        if xs.ndim != 2:
+            raise ValueError("forward needs a (rows, input_dim) array")
+        pack = single(len(xs)) if pack is None else pack
         cfg = self.cfg
         hs, time_caches = [], []
         cur = xs
         for cell in self.time_cells:
-            state, cache = cell.forward(cur, cell.initial_state())
+            state, cache = cell.forward(cur, pack)
             cur = state.h
             hs.append(cur)
             time_caches.append(cache)
         if not cfg.is_trajectory:
-            return cur, ("stack", time_caches)
+            return cur, (pack, time_caches, None, None)
         gs, depth_caches = [], []
         below = np.zeros_like(cur)
         below_c = np.zeros((len(cur), cfg.hidden), dtype=DTYPE) if cfg.cell_kind in LSTM_KINDS else None
         for l, cell in enumerate(self.depth_cells):
             if l:
-                below = self._ctx_combine(gs[-1], l - 1) if cfg.is_contextual else gs[-1]
+                below = self._ctx_combine(gs[-1], l - 1, pack) if cfg.is_contextual else gs[-1]
             state, cache = cell.step(below, CellState(hs[l], below_c))
             below_c = state.c
             gs.append(state.h)
             depth_caches.append(cache)
-        out = self._ctx_combine(gs[-1], cfg.num_layers - 1) if cfg.is_contextual else gs[-1]
-        return out, ("traj", time_caches, depth_caches, gs)
+        out = self._ctx_combine(gs[-1], cfg.num_layers - 1, pack) if cfg.is_contextual else gs[-1]
+        return out, (pack, time_caches, depth_caches, gs)
 
-    def _ctx_combine(self, g, l):
-        """Lookahead combination at boundary l: out[t] = sum_d W_d g[t+d],
-        with frames past the end taken as zero."""
-        T = len(g)
+    def _ctx_combine(self, g, l, pack):
+        """Lookahead combination at boundary l: out[t] = sum_d W_d g[t+d]
+        within each sequence, with frames past its end taken as zero."""
         out = np.zeros_like(g)
-        for d, w in enumerate(self.ctx_weights[l][:T]):
+        for d, w in enumerate(self.ctx_weights[l]):
+            dst, src = pack.shift(d)
             w = w.value
-            out[: T - d] += g[d:] @ w.T if w.ndim == 2 else g[d:] * w
+            out[dst] += g[src] @ w.T if w.ndim == 2 else g[src] * w
         return out
 
-    def _ctx_backward(self, d_out, g, l):
-        T = len(g)
+    def _ctx_backward(self, d_out, g, l, pack):
         d_g = np.zeros_like(g)
-        for d, w in enumerate(self.ctx_weights[l][:T]):
-            dz = d_out[: T - d]
+        for d, w in enumerate(self.ctx_weights[l]):
+            dst, src = pack.shift(d)
+            dz = d_out[dst]
             if w.value.ndim == 2:
-                w.grad += dz.T @ g[d:]
-                d_g[d:] += dz @ w.value
+                w.grad += dz.T @ g[src]
+                d_g[src] += dz @ w.value
             else:
-                w.grad += (dz * g[d:]).sum(axis=0)
-                d_g[d:] += dz * w.value
+                w.grad += (dz * g[src]).sum(axis=0)
+                d_g[src] += dz * w.value
         return d_g
 
     def backward(self, d_out, cache):
-        """Propagate (T, out_dim) output gradients back to the inputs.
-
-        Accumulates parameter gradients; returns (T, input_dim) input grads.
-        """
+        """Output gradients (R, out_dim) -> input gradients (R, input_dim),
+        in the forward's row layout; accumulates parameter gradients."""
+        pack, time_caches, depth_caches, gs = cache
         L = self.cfg.num_layers
-        time_caches = cache[1]
         d_top = [None] * L  # gradient on each time layer's outputs, except from the layer above
-        if cache[0] == "stack":
+        if depth_caches is None:
             d_top[-1] = d_out
         else:
-            _, _, depth_caches, gs = cache
             d_g, d_c = d_out, None
             for l in range(L - 1, -1, -1):
                 if self.cfg.is_contextual:
-                    d_g = self._ctx_backward(d_g, gs[l], l)
+                    d_g = self._ctx_backward(d_g, gs[l], l, pack)
                 d_g, d_top[l], d_c = self.depth_cells[l].backward(d_g, d_c, depth_caches[l])
         d_below = None
         for l in range(L - 1, -1, -1):
             d_h = d_top[l] if d_below is None else (d_below if d_top[l] is None else d_top[l] + d_below)
             d_below, _, _ = self.time_cells[l].backward(d_h, None, time_caches[l])
         return d_below
-
-    # ----- single-step path (decoding) -----
 
     def initial_state(self):
         """Per-layer time-cell states; depth cells are stateless across steps."""
@@ -291,22 +283,27 @@ class PredictionNet:
     def _token_error(self, token):
         return ValueError(f"token id {token} outside [1, {self.num_labels - 1}]")
 
-    def forward(self, labels):
-        """labels: non-blank token ids. Returns ((U+1, out_dim), cache)."""
-        labels = np.asarray(labels, dtype=np.intp)
-        outside = (labels < 1) | (labels >= self.num_labels)
+    def forward(self, labels, pack=None):
+        """labels: one sequence of non-blank token ids, or with ``pack`` (the
+        Packing of their U_n+1 positions) a minibatch's sequences in batch
+        order. Returns ((rows, out_dim) in the packing's layout, cache)."""
+        seqs = [np.asarray(l, dtype=np.intp) for l in ([labels] if pack is None else labels)]
+        flat = np.concatenate(seqs)
+        outside = (flat < 1) | (flat >= self.num_labels)
         if outside.any():
-            raise self._token_error(labels[outside][0])
-        xs = np.zeros((len(labels) + 1, self.cfg.input_dim), dtype=DTYPE)
-        xs[1:] = self.table.value[labels]
-        outs, net_cache = self.net.forward(xs)
-        return outs, (labels, net_cache)
+            raise self._token_error(flat[outside][0])
+        pack = single(len(flat) + 1) if pack is None else pack
+        label_rows = np.delete(pack.rows, np.concatenate(([0], pack.splits)))
+        xs = np.zeros((len(pack.rows), self.cfg.input_dim), dtype=DTYPE)
+        xs[label_rows] = self.table.value[flat]
+        outs, net_cache = self.net.forward(xs, pack)
+        return outs, ((flat, label_rows), net_cache)
 
     def backward(self, d_out, cache):
-        labels, net_cache = cache
+        (flat, label_rows), net_cache = cache
         d_xs = self.net.backward(d_out, net_cache)
-        # unbuffered: a repeated token accumulates its rows in label order
-        np.add.at(self.table.grad, labels, d_xs[1:])
+        # unbuffered: a repeated token accumulates its rows in batch, then label, order
+        np.add.at(self.table.grad, flat, d_xs[label_rows])
 
     def initial_state(self):
         return self.net.initial_state()

@@ -176,13 +176,13 @@ def load_checkpoint(path):
             name = _read_exact(f, nlen, "parameter name").decode()
             value = read_tensor(f)
             if name not in model.registry:
-                raise ValueError(f"checkpoint parameter {name} not in model")
+                raise ValueError(f"{path}: checkpoint parameter {name} not in model")
             if name in loaded:
                 raise ValueError(f"{path}: parameter {name} appears more than once")
             loaded.add(name)
             p = model.registry[name]
             if p.value.shape != value.shape:
-                raise ValueError(f"checkpoint parameter {name} has shape {value.shape}, "
+                raise ValueError(f"{path}: checkpoint parameter {name} has shape {value.shape}, "
                                  f"model expects {p.value.shape}")
             p.value[...] = value
         missing = [p.name for p in model.registry if p.name not in loaded]

@@ -185,7 +185,12 @@ class OracleNet:
         self.depth_cells = [oracle_cell(c) for c in net.depth_cells]
         self.ctx_weights = net.ctx_weights
 
-    def forward(self, xs):
+    def forward(self, xs, pack=None):
+        """One sequence, or with ``pack`` (packing.Packing) each sequence
+        of a packed minibatch on its own; outputs in the input's layout."""
+        if pack is not None:
+            runs = [self.forward(x) for x in pack.unpack(np.asarray(xs, dtype=DTYPE))]
+            return pack.pack([outs for outs, _ in runs]), ("batch", pack, [cache for _, cache in runs])
         xs = np.asarray(xs, dtype=DTYPE)
         hs, time_caches = self._time_pass(xs)
         if not self.cfg.is_trajectory:
@@ -274,6 +279,9 @@ class OracleNet:
         return d_g
 
     def backward(self, d_out, cache):
+        if cache[0] == "batch":
+            _, pack, caches = cache
+            return pack.pack([self.backward(d, c) for d, c in zip(pack.unpack(d_out), caches)])
         if cache[0] == "stack":
             _, time_caches = cache
             return self._time_backward([d_out[t] for t in range(d_out.shape[0])], None, time_caches)

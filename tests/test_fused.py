@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +14,8 @@ from transducerkit.cells import LnGruCell, LnLstmCell
 from transducerkit.data import gen_synthetic
 from transducerkit.joint import JointNetwork
 from transducerkit.model import TransducerModel
-from transducerkit.networks import LSTM_KINDS, NetConfig, SequenceNet
+from transducerkit.networks import LSTM_KINDS, NetConfig, PredictionNet, SequenceNet
+from transducerkit.packing import Packing
 from transducerkit.tensor import ParamRegistry
 
 # Agreement bound: 1e-12 absolute, or relative to values above 1 (summing
@@ -164,3 +166,120 @@ def test_model_loss_and_grads_match_oracle(name):
     npt.assert_allclose(loss, loss_o, **TOL)
     for p in model.registry:
         npt.assert_allclose(grads[p.name], p.grad, **TOL, err_msg=p.name)
+
+
+# Minibatches for the batched kernel: T=1, equal lengths, every T <= tau
+# (tau 2), a single utterance.
+BATCHES = {
+    "mixed": [5, 1, 3, 5, 2, 1],
+    "equal": [3, 3, 3],
+    "short": [2, 1, 2],
+    "single": [4],
+}
+BATCH_WIRINGS = [
+    *[(kind, 0) for kind in ("ln_lstm", "lt_lstm", "ln_gru", "lt_gru")],
+    *[(kind, tau) for kind in ("clt_lstm", "eclt_gru") for tau in (0, 2)],
+]
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("kind,tau", BATCH_WIRINGS)
+def test_batched_network_matches_per_utterance_oracle(kind, tau, batch):
+    """One packed pass over the minibatch gives each utterance's oracle
+    outputs and input gradients, and the oracle parameter gradients summed
+    over the utterances."""
+    reg, net = perturbed_net(kind, tau)
+    rng = np.random.default_rng(19)
+    lengths = BATCHES[batch]
+    xs = [rng.normal(size=(T, 4)) for T in lengths]
+    probes = [rng.normal(size=(T, net.out_dim)) for T in lengths]
+    pack = Packing(lengths)
+
+    reg.zero_grad()
+    outs, cache = net.forward(pack.pack(xs), pack)
+    d_xs = net.backward(pack.pack(probes), cache)
+    grads = {p.name: p.grad.copy() for p in reg}
+
+    reg.zero_grad()
+    oracle = OracleNet(net)
+    for x, probe, out, d_x in zip(xs, probes, pack.unpack(outs), pack.unpack(d_xs)):
+        out_o, cache_o = oracle.forward(x)
+        npt.assert_allclose(out, out_o, **TOL)
+        npt.assert_allclose(d_x, oracle.backward(probe, cache_o), **TOL)
+    for p in reg:
+        npt.assert_allclose(grads[p.name], p.grad, **TOL, err_msg=p.name)
+
+
+@pytest.mark.parametrize("kind", ["ln_lstm", "lt_gru"])
+def test_batched_prediction_matches_per_utterance_oracle(kind):
+    # empty label sequences (U=0), repeated tokens, a longest sequence that
+    # is not first in the batch
+    kwargs = dict(projection=3) if kind in LSTM_KINDS else {}
+    reg = ParamRegistry()
+    cfg = NetConfig(cell_kind=kind, num_layers=2, hidden=5, input_dim=3, **kwargs)
+    pred = PredictionNet(reg, "pre", cfg, 6, np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    for p in reg:
+        p.value += rng.normal(scale=0.1, size=p.value.shape)
+    batch = [[], [3, 1, 3], [5], [2, 2, 4, 1], []]
+    pack = Packing([len(labels) + 1 for labels in batch])
+    probes = [rng.normal(size=(len(labels) + 1, pred.out_dim)) for labels in batch]
+
+    reg.zero_grad()
+    outs, cache = pred.forward(batch, pack)
+    pred.backward(pack.pack(probes), cache)
+    grads = {p.name: p.grad.copy() for p in reg}
+
+    reg.zero_grad()
+    pred.net = OracleNet(pred.net)
+    for labels, probe, out in zip(batch, probes, pack.unpack(outs)):
+        out_o, cache_o = pred.forward(labels)
+        npt.assert_allclose(out, out_o, **TOL)
+        pred.backward(probe, cache_o)
+    for p in reg:
+        npt.assert_allclose(grads[p.name], p.grad, **TOL, err_msg=p.name)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_model_batch_matches_sum_of_single_utterances(name):
+    model = TransducerModel(model_config(name))
+    batch = frozen_batch(num=5, seed=13)
+    model.registry.zero_grad()
+    loss = model.batch_loss_and_grad(batch)
+    grads = {p.name: p.grad * len(batch) for p in model.registry}  # sum, not mean, over utterances
+
+    model.registry.zero_grad()
+    losses = [model.batch_loss_and_grad([utt]) for utt in batch]
+    npt.assert_allclose(loss, np.mean(losses), **TOL)
+    for p in model.registry:
+        npt.assert_allclose(grads[p.name], p.grad, **TOL, err_msg=p.name)
+
+
+def test_empty_utterance_named_by_position():
+    model = TransducerModel(model_config("quickstart.cfg"))
+    batch = frozen_batch(num=3)
+    batch[1] = (batch[1][0][:0], batch[1][1])
+    with pytest.raises(ValueError, match="utterance 1 of the minibatch is empty"):
+        model.batch_loss_and_grad(batch)
+
+
+# tracemalloc peak of batch_loss_and_grad on the 11-utterance minibatch
+# below with quickstart.cfg, as the per-utterance networks measured it
+# (5.747 MB); the packed networks must stay at or below it.
+PER_UTTERANCE_PEAK = 5.74e6
+
+
+def test_batch_loss_and_grad_peak_bounded():
+    model = TransducerModel(model_config("quickstart.cfg"))
+    batch = frozen_batch(num=11, seed=3)
+    model.batch_loss_and_grad(batch)  # first call fills lazy caches
+    model.registry.zero_grad()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model.batch_loss_and_grad(batch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_UTTERANCE_PEAK, peak

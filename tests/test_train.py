@@ -223,6 +223,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"twice.tkc: parameter {header['params'][0]} appears more than once"):
             load_checkpoint(path)
 
+    def test_unknown_parameter_named_with_path(self, tmp_path):
+        path = tmp_path / "renamed.tkc"
+        save_checkpoint(path, small_model(seed=24))
+        header, records = split_checkpoint(path.read_bytes())
+        old = header["params"][-1].encode()
+        header["params"][-1] = "joint.b_new"
+        records[-1] = struct.pack("<I", len(b"joint.b_new")) + b"joint.b_new" + records[-1][4 + len(old):]
+        path.write_bytes(join_checkpoint(header, records))
+        with pytest.raises(ValueError, match="renamed.tkc: checkpoint parameter joint.b_new not in model"):
+            load_checkpoint(path)
+
+    def test_shape_mismatch_named_with_path(self, tmp_path):
+        # the header's model config no longer matches the stored tensors
+        path = tmp_path / "reshaped.tkc"
+        save_checkpoint(path, small_model(seed=25))
+        header, records = split_checkpoint(path.read_bytes())
+        header["model"]["joint_dim"] = 9
+        path.write_bytes(join_checkpoint(header, records))
+        with pytest.raises(ValueError, match=r"reshaped.tkc: checkpoint parameter joint.u_mat has shape "
+                                             r"\(8, 8\), model expects \(8, 9\)"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.tkc"
         save_checkpoint(path, small_model(seed=20))

@@ -1,6 +1,7 @@
 """Run every benchmark workload over a range of seeds and write their medians.
 
     python3 tools/bench.py --label fused --seeds 101-105
+    python3 tools/bench.py --label ab --seeds 101-105 --against ../parent
 
 Runs ``perfbench/run.py`` of the checkout holding this script, unchanged, one
 process per (seed, workload), for the workloads and run length listed in
@@ -9,6 +10,12 @@ per workload the median, the quartiles and every run's value of each
 end-to-end metric, the failed and attempted operation counts, and the
 fingerprint from the runs' details lines. Compare two such files only when
 they were measured on the same host.
+
+``--against DIR`` makes an interleaved A/B: for each (seed, workload) it runs
+the checkout at DIR ("base", e.g. the parent commit) and this one ("change")
+back to back, alternating which goes first, so that host drift falls on both
+sides alike. Each workload then holds both sides' summaries and, per pair,
+the change/base ratio of every end-to-end metric with the median ratio.
 """
 
 import argparse
@@ -32,11 +39,12 @@ def parse_seeds(text):
     return seeds
 
 
-def run_once(workload, seed, seconds):
-    """One benchmark process; returns (details, result) from its last two lines."""
+def run_once(root, workload, seed, seconds):
+    """One benchmark process of the checkout at ``root``; returns (details,
+    result) from its last two lines."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
@@ -70,33 +78,68 @@ def summarize(runs):
     }
 
 
+def ratios(base, change):
+    """change/base of every metric of one pair of runs (None where undefined)."""
+    out = {}
+    for name, entry in change["metrics"].items():
+        b, c = base["metrics"][name]["value"], entry["value"]
+        out[name] = c / b if b and c is not None else None
+    return out
+
+
+def summarize_ab(runs):
+    """Both sides' summaries of one workload's pairs, the per-pair change/base
+    ratios and their median per metric."""
+    pairs = [{"seed": r["seed"], "first": r["first"], "ratios": ratios(r["base"], r["change"])} for r in runs]
+    median_ratio = {}
+    for name in pairs[0]["ratios"]:
+        values = [p["ratios"][name] for p in pairs if p["ratios"][name] is not None]
+        median_ratio[name] = statistics.median(values) if values else None
+    out = {key: summarize([{"seed": r["seed"], "result": r[key]} for r in runs]) for key in ("base", "change")}
+    out.update(pairs=pairs, median_ratio=median_ratio)
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True, help='e.g. "101-105" or "7,9"')
+    parser.add_argument("--against", metavar="DIR", help="checkout to compare with, run interleaved")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
 
+    sides = [("change", ROOT)] if args.against is None else [("base", args.against), ("change", ROOT)]
     runs = {w: [] for w in workloads}
-    fingerprint = None
-    for seed in args.seeds:
-        for workload in workloads:
-            details, result = run_once(workload, seed, seconds)
-            fingerprint = dict(details["fingerprint"])
-            runs[workload].append({"seed": seed, "result": result})
-            utts = result["metrics"]["utts_per_s"]["value"]
-            print(f"{workload} seed {seed}: utts_per_s {utts:.3f} correct {result['correct']}", file=sys.stderr)
-    fingerprint.pop("seed")
+    fingerprints = {}
+    for i, seed in enumerate(args.seeds):
+        for j, workload in enumerate(workloads):
+            # the first side alternates from pair to pair and, per workload, from seed to seed
+            order = sides[::-1] if (i + j) % 2 else sides
+            run = {"seed": seed, "first": order[0][0]}
+            for key, root in order:
+                details, run[key] = run_once(root, workload, seed, seconds)
+                fingerprints[key] = dict(details["fingerprint"])
+                utts = run[key]["metrics"]["utts_per_s"]["value"]
+                print(f"{workload} seed {seed} {key}: utts_per_s {utts:.3f} correct {run[key]['correct']}",
+                      file=sys.stderr)
+            runs[workload].append(run)
+    for fingerprint in fingerprints.values():
+        fingerprint.pop("seed")
     out = {
         "label": args.label,
-        "fingerprint": fingerprint,
+        "fingerprint": fingerprints["change"],
         "seconds": seconds,
         "seeds": args.seeds,
-        "workloads": {w: summarize(runs[w]) for w in workloads},
     }
+    if args.against is None:
+        out["workloads"] = {w: summarize([{"seed": r["seed"], "result": r["change"]} for r in runs[w]])
+                            for w in workloads}
+    else:
+        out["base_fingerprint"] = fingerprints["base"]
+        out["workloads"] = {w: summarize_ab(runs[w]) for w in workloads}
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as f:
         json.dump(out, f, indent=1, sort_keys=True)
