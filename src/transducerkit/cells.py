@@ -20,7 +20,7 @@ gradients accumulate into the ParamRegistry as one matrix product each.
 
 import numpy as np
 
-from .tensor import DTYPE, layer_norm_bwd, layer_norm_fwd, sigmoid
+from .tensor import DTYPE, fill_uniform, layer_norm_bwd, layer_norm_fwd, sigmoid, uniform_init
 
 LN_EPSILON = 1e-5
 _SEQUENCE = "sequence"  # tags a forward() cache; step() caches are plain tuples
@@ -34,20 +34,6 @@ class CellState:
     def __init__(self, h, c=None):
         self.h = h
         self.c = c
-
-
-def _fill_uniform(rng, out, fanin):
-    """Fill ``out`` with the values ``rng.uniform(-1/sqrt(fanin), 1/sqrt(fanin))``
-    would return for its shape (same draws, same rounding), without a copy."""
-    limit = 1.0 / np.sqrt(fanin)
-    rng.random(out=out)
-    out *= 2.0 * limit
-    out -= limit
-    return out
-
-
-def _uniform_init(rng, shape, fanin):
-    return _fill_uniform(rng, np.empty(shape, dtype=DTYPE), fanin)
 
 
 def _rows2(a):
@@ -74,8 +60,8 @@ class _FusedCell:
         wx = np.empty((G * H, in_dim), dtype=DTYPE)
         wh = np.empty((G * H, rec_dim), dtype=DTYPE)
         for g in draw_rows:
-            _fill_uniform(rng, wx[g * H : (g + 1) * H], in_dim)
-            _fill_uniform(rng, wh[g * H : (g + 1) * H], rec_dim)
+            fill_uniform(rng, wx[g * H : (g + 1) * H], in_dim)
+            fill_uniform(rng, wh[g * H : (g + 1) * H], rec_dim)
         self.wx = reg.add(prefix + ".wx", wx)
         self.wh = reg.add(prefix + ".wh", wh)
         self.b = reg.add(prefix + ".b", np.zeros(G * H, dtype=DTYPE))
@@ -177,7 +163,7 @@ class LnLstmCell(_FusedCell):
         self.ln_bias.value[hidden : 2 * hidden] = 1.0
         self.cell_gain = reg.add(prefix + ".cell_ln_gain", np.ones(hidden, dtype=DTYPE))
         self.cell_bias = reg.add(prefix + ".cell_ln_bias", np.zeros(hidden, dtype=DTYPE))
-        self.w_proj = reg.add(prefix + ".w_proj", _uniform_init(rng, (proj, hidden), hidden))
+        self.w_proj = reg.add(prefix + ".w_proj", uniform_init(rng, (proj, hidden), hidden))
 
     def initial_state(self):
         return CellState(np.zeros(self.proj, dtype=DTYPE), np.zeros(self.hidden, dtype=DTYPE))
@@ -200,7 +186,7 @@ class LnLstmCell(_FusedCell):
         _, _, c_prev, sg, cand, vhat, inv_sigma, vhat_c, inv_c, tc = cache
         d_q = d_h @ self.w_proj.value
         d_cn = d_q * sg[..., 2, :] * (1.0 - tc * tc)
-        d_ct = layer_norm_bwd(d_cn, self.cell_gain.value, (vhat_c, inv_c))[0]
+        d_ct = layer_norm_bwd(d_cn, self.cell_gain.value, (vhat_c, inv_c))
         if d_c is not None:
             d_ct += d_c
         d_s = np.empty_like(vhat)
@@ -209,7 +195,7 @@ class LnLstmCell(_FusedCell):
         d_s[..., 2, :] = d_q * tc
         d_s[..., :3, :] *= sg * (1.0 - sg)
         d_s[..., 3, :] = d_ct * sg[..., 0, :] * (1.0 - cand * cand)
-        d_a = layer_norm_bwd(d_s, self._gain, (vhat, inv_sigma))[0]
+        d_a = layer_norm_bwd(d_s, self._gain, (vhat, inv_sigma))
         d_a = d_a.reshape(d_a.shape[:-2] + (-1,))
         return d_a @ self.wh.value, d_ct * sg[..., 1, :], (d_a, d_s, d_cn, d_h)
 
@@ -266,13 +252,13 @@ class LnGruCell(_FusedCell):
         _, h_prev, _, zr, hbar, vhat_zr, inv_zr, vhat_h, inv_h = cache
         z = zr[..., 0, :]
         d_s_h = d_h * (1.0 - z) * (1.0 - hbar * hbar)
-        d_a_h = layer_norm_bwd(d_s_h, self._gain[2], (vhat_h, inv_h))[0]
+        d_a_h = layer_norm_bwd(d_s_h, self._gain[2], (vhat_h, inv_h))
         d_rh = d_a_h @ self._wh_h
         d_s_zr = np.empty_like(zr)
         d_s_zr[..., 0, :] = d_h * (h_prev - hbar)
         d_s_zr[..., 1, :] = d_rh * h_prev
         d_s_zr *= zr * (1.0 - zr)
-        d_a_zr = layer_norm_bwd(d_s_zr, self._gain[:2], (vhat_zr, inv_zr))[0]
+        d_a_zr = layer_norm_bwd(d_s_zr, self._gain[:2], (vhat_zr, inv_zr))
         d_a_zr = d_a_zr.reshape(d_a_zr.shape[:-2] + (-1,))
         d_h_prev = d_h * z + d_rh * zr[..., 1, :] + d_a_zr @ self._wh_zr
         return d_h_prev, None, (d_a_zr, d_a_h, d_s_zr, d_s_h)

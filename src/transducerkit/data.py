@@ -117,7 +117,11 @@ def load_split(dirpath):
             raise ValueError(
                 f"{path}: utterance {utt_id} has {len(labels)} tokens but {len(ref_frames)} frames"
             )
-        features = load_tensor(os.path.join(dirpath, utt_id + ".tkt"))
+        tkt = os.path.join(dirpath, utt_id + ".tkt")
+        features = load_tensor(tkt)
+        if features.ndim != 2 or not features.shape[0]:
+            raise ValueError(f"{tkt}: expected a (frames, features) tensor with at least one row, "
+                             f"got shape {features.shape}")
         utts.append(Utterance(utt_id, features, labels, ref_frames))
     return utts
 

@@ -6,7 +6,7 @@ the ground-truth emission frames written by the data generator.
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +28,11 @@ class DecodeConfig:
 
 @dataclass
 class Hypothesis:
-    """One decoder beam entry."""
+    """One decoded token sequence with its score and emission frames."""
 
-    tokens: tuple = ()
-    log_prob: float = 0.0
-    emit_frames: tuple = ()
-    frame_emissions: int = 0  # emissions within the current frame
+    tokens: tuple
+    log_prob: float
+    emit_frames: tuple
 
 
 def greedy_decode(model, enc_outputs, max_symbols_per_frame=10):
@@ -62,16 +61,16 @@ def greedy_decode(model, enc_outputs, max_symbols_per_frame=10):
     return Hypothesis(tokens=tuple(tokens), log_prob=log_prob, emit_frames=tuple(frames))
 
 
-def _merge(pool, hyp):
-    """Merge into a dict keyed by token prefix: scores add by logsumexp, the
-    higher-scoring branch keeps its emission frames. Returns the entry now
-    stored under hyp.tokens."""
-    old = pool.get(hyp.tokens)
+def _merge(pool, tokens, score, frames):
+    """Store (score, frames) under tokens in a dict of entries: scores merge
+    by logsumexp, the higher-scoring branch keeps its emission frames (a tie
+    keeps the stored one). Returns the entry now stored under tokens."""
+    old = pool.get(tokens)
     if old is not None:
-        keep = old if old.log_prob >= hyp.log_prob else hyp
-        hyp = replace(keep, log_prob=float(np.logaddexp(old.log_prob, hyp.log_prob)))
-    pool[hyp.tokens] = hyp
-    return hyp
+        frames = old[1] if old[0] >= score else frames
+        score = float(np.logaddexp(old[0], score))
+    entry = pool[tokens] = (score, frames)
+    return entry
 
 
 def beam_decode(model, enc_outputs, cfg):
@@ -88,57 +87,48 @@ def beam_decode(model, enc_outputs, cfg):
     # token prefix -> (prediction state, output); a popped hypothesis's
     # parent was popped before it, so its state is always here
     cache = {(): model.prediction.step(model.prediction.initial_state(), None)}
-    kept = [Hypothesis()]
+    kept = [((), (0.0, ()))]
     sentinel = (model.num_labels,)
     seq = itertools.count()
     for t in range(enc_outputs.shape[0]):
         active, heap = {}, []
 
-        def push(hyp):
-            entry = _merge(active, hyp)
+        def push(tokens, score, frames):
+            entry = _merge(active, tokens, score, frames)
             # pop order: higher score, then lower token ids, with an
             # extension ahead of its own prefix (the sentinel num_labels
-            # exceeds every token id); seq keeps hypotheses out of equal keys
-            heapq.heappush(heap, (-entry.log_prob, entry.tokens + sentinel, next(seq), entry))
+            # exceeds every token id); seq keeps entries out of equal keys
+            heapq.heappush(heap, (-entry[0], tokens + sentinel, next(seq), tokens, entry))
 
-        for h in kept:  # blank-terminated, so frame_emissions is 0
-            push(h)
+        for tokens, entry in kept:
+            push(tokens, *entry)
         finished = {}
-        pops = 0
-        max_pops = cfg.beam_width * cfg.max_symbols_per_frame + len(active)
-        while active and pops < max_pops:
-            # skip stale entries: a merge replaced their hypothesis, or popped it
-            while active.get(heap[0][3].tokens) is not heap[0][3]:
+        for _ in range(cfg.beam_width * cfg.max_symbols_per_frame + len(active)):  # max pops
+            if not active:
+                break
+            # skip stale entries: a merge replaced their entry, or popped it
+            while active.get(heap[0][3]) is not heap[0][4]:
                 heapq.heappop(heap)
-            hyp = heap[0][3]
+            tokens, (score, frames) = heapq.heappop(heap)[3:]
             if len(finished) >= cfg.beam_width:
-                bar = sorted(h.log_prob for h in finished.values())[-cfg.beam_width]
-                if bar >= hyp.log_prob:
+                bar = sorted(s for s, _ in finished.values())[-cfg.beam_width]
+                if bar >= score:
                     break
-            heapq.heappop(heap)
-            del active[hyp.tokens]
-            pops += 1
-            if hyp.tokens not in cache:
-                cache[hyp.tokens] = model.prediction.step(cache[hyp.tokens[:-1]][0], hyp.tokens[-1])
-            logp = model.joint_log_probs_row(enc_outputs[t], cache[hyp.tokens][1])
+            del active[tokens]
+            if tokens not in cache:
+                cache[tokens] = model.prediction.step(cache[tokens[:-1]][0], tokens[-1])
+            logp = model.joint_log_probs_row(enc_outputs[t], cache[tokens][1])
             lp = logp.tolist()
-            _merge(finished, Hypothesis(
-                tokens=hyp.tokens, log_prob=hyp.log_prob + lp[BLANK], emit_frames=hyp.emit_frames
-            ))
-            if hyp.frame_emissions >= cfg.max_symbols_per_frame:
+            _merge(finished, tokens, score + lp[BLANK], frames)
+            # the emissions within frame t, each of which recorded t + 1
+            if frames.count(t + 1) >= cfg.max_symbols_per_frame:
                 continue
             order = np.argsort(-logp[1:], kind="stable")[:beam_k] + 1
             for k in order.tolist():
-                push(Hypothesis(
-                    tokens=hyp.tokens + (k,),
-                    log_prob=hyp.log_prob + lp[k],
-                    emit_frames=hyp.emit_frames + (t + 1,),
-                    frame_emissions=hyp.frame_emissions + 1,
-                ))
-        kept = sorted(
-            finished.values(), key=lambda h: (-h.log_prob, h.tokens)
-        )[: cfg.beam_width]
-    return kept[0], kept
+                push(tokens + (k,), score + lp[k], frames + (t + 1,))
+        kept = sorted(finished.items(), key=lambda item: (-item[1][0], item[0]))[: cfg.beam_width]
+    nbest = [Hypothesis(tokens, score, frames) for tokens, (score, frames) in kept]
+    return nbest[0], nbest
 
 
 def decode_corpus(model, utts, cfg):

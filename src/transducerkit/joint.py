@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DTYPE
+from .tensor import DTYPE, uniform_init
 
 
 class PackedLattice:
@@ -74,14 +74,10 @@ class JointNetwork:
         self.pre_dim = pre_dim
         self.joint_dim = joint_dim
         self.num_labels = num_labels
-
-        def init(shape, fanin):
-            return rng.uniform(-1.0 / np.sqrt(fanin), 1.0 / np.sqrt(fanin), shape).astype(DTYPE)
-
-        self.u_mat = reg.add(prefix + ".u_mat", init((enc_dim, joint_dim), enc_dim))
-        self.v_mat = reg.add(prefix + ".v_mat", init((pre_dim, joint_dim), pre_dim))
+        self.u_mat = reg.add(prefix + ".u_mat", uniform_init(rng, (enc_dim, joint_dim), enc_dim))
+        self.v_mat = reg.add(prefix + ".v_mat", uniform_init(rng, (pre_dim, joint_dim), pre_dim))
         self.b_z = reg.add(prefix + ".b_z", np.zeros(joint_dim, dtype=DTYPE))
-        self.w_out = reg.add(prefix + ".w_out", init((joint_dim, num_labels), joint_dim))
+        self.w_out = reg.add(prefix + ".w_out", uniform_init(rng, (joint_dim, num_labels), joint_dim))
         self.b_out = reg.add(prefix + ".b_out", np.zeros(num_labels, dtype=DTYPE))
 
     def combine_packed(self, enc_outputs, pre_outputs):

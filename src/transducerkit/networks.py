@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import CellState, LnGruCell, LnLstmCell, _uniform_init
+from .cells import CellState, LnGruCell, LnLstmCell
 from .packing import single
-from .tensor import DTYPE
+from .tensor import DTYPE, uniform_init
 
 CELL_KINDS = ("ln_lstm", "lt_lstm", "clt_lstm", "ln_gru", "lt_gru", "eclt_gru")
 LSTM_KINDS = ("ln_lstm", "lt_lstm", "clt_lstm")
@@ -273,7 +273,7 @@ class PredictionNet:
         self.cfg = cfg
         self.num_labels = num_labels
         dim = cfg.input_dim
-        self.table = reg.add(prefix + ".embed.table", _uniform_init(rng, (num_labels, dim), dim))
+        self.table = reg.add(prefix + ".embed.table", uniform_init(rng, (num_labels, dim), dim))
         self.net = SequenceNet(reg, prefix + ".net", cfg, rng)
 
     @property

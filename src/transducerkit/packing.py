@@ -13,7 +13,12 @@ import numpy as np
 
 
 def _block(start, n):
-    """Rows start:start+n; one row as an int index, so that it reads as a vector."""
+    """Rows start:start+n; one row as an int index, so that it reads as a vector.
+
+    The int is for speed only: plain slices give bitwise the same results,
+    but made N=1 ``encode`` slower, by a median 7% (60 utterances, best of 7
+    passes, slower in 7 of 8 alternating process pairs, on a 2-vCPU host
+    with numpy 2.4.6)."""
     return start if n == 1 else slice(start, start + n)
 
 

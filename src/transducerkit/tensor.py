@@ -54,6 +54,20 @@ def _mean_column(n):
     return col
 
 
+def fill_uniform(rng, out, fanin):
+    """Fill ``out`` with the values ``rng.uniform(-1/sqrt(fanin), 1/sqrt(fanin))``
+    would return for its shape (same draws, same rounding), without a copy."""
+    limit = 1.0 / np.sqrt(fanin)
+    rng.random(out=out)
+    out *= 2.0 * limit
+    out -= limit
+    return out
+
+
+def uniform_init(rng, shape, fanin):
+    return fill_uniform(rng, np.empty(shape, dtype=DTYPE), fanin)
+
+
 def layer_norm_fwd(v, gain, bias, epsilon):
     """Forward pass returning (output, cache) for the hand-written backward.
 
@@ -70,11 +84,11 @@ def layer_norm_fwd(v, gain, bias, epsilon):
 
 
 def layer_norm_bwd(d_out, gain, cache):
-    """Backward of layer_norm_fwd.
+    """Backward of layer_norm_fwd: returns d_v.
 
-    Returns (d_v, d_gain, d_bias), the last two elementwise (sum them over
-    any leading axes for the parameter gradients). Uses the standard
-    standardization gradient with population (1/D) statistics.
+    Uses the standard standardization gradient with population (1/D)
+    statistics. The parameter gradients are elementwise, ``d_out * vhat``
+    for the gain and ``d_out`` for the bias; callers sum them over the rows.
     """
     vhat, inv_sigma = cache
     col = _mean_column(vhat.shape[-1])
@@ -82,7 +96,7 @@ def layer_norm_bwd(d_out, gain, cache):
     d_v = d_vhat - d_vhat @ col
     d_v -= vhat * ((d_vhat * vhat) @ col)
     d_v *= inv_sigma
-    return d_v, d_out * vhat, d_out
+    return d_v
 
 
 class Param:

@@ -39,7 +39,7 @@ def layer_norm_bwd(d_out, gain, cache):
     d_vhat = d_out * gain
     n = vhat.size
     d_v = inv_sigma * (d_vhat - d_vhat.mean() - vhat * (d_vhat * vhat).sum() / n)
-    return d_v, d_out * vhat, d_out
+    return d_v
 
 
 class View:
@@ -69,9 +69,9 @@ class GateView:
         return layer_norm_fwd(a, self.gain.value, self.bias.value, LN_EPSILON)
 
     def backward(self, d_s, ln_cache, x, h_prev):
-        d_a, d_gain, d_bias = layer_norm_bwd(d_s, self.gain.value, ln_cache)
-        self.gain.grad += d_gain
-        self.bias.grad += d_bias
+        d_a = layer_norm_bwd(d_s, self.gain.value, ln_cache)
+        self.gain.grad += d_s * ln_cache[0]
+        self.bias.grad += d_s
         self.wx.grad += np.outer(d_a, x)
         self.wh.grad += np.outer(d_a, h_prev)
         self.b.grad += d_a
@@ -115,9 +115,9 @@ class LstmOracle:
         self.w_proj.grad += np.outer(d_h, q)
         d_go = d_q * tc
         d_cn = d_q * go * (1.0 - tc * tc)
-        d_c_from_q, d_gain, d_bias = layer_norm_bwd(d_cn, self.cell_gain.value, ln_cell)
-        self.cell_gain.grad += d_gain
-        self.cell_bias.grad += d_bias
+        d_c_from_q = layer_norm_bwd(d_cn, self.cell_gain.value, ln_cell)
+        self.cell_gain.grad += d_cn * ln_cell[0]
+        self.cell_bias.grad += d_cn
         d_ct = d_c_from_q + (d_c if d_c is not None else 0.0)
         d_gf = d_ct * c_prev
         d_c_prev = d_ct * gf

@@ -14,7 +14,12 @@ def bench(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tool", BENCH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    spec_json = {"run_seconds": 2, "workloads": [{"name": "w1"}, {"name": "w2"}]}
+    spec_json = {
+        "run_seconds": 2,
+        "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": [{"name": "utts_per_s", "better": "higher", "bound": 0.25},
+                       {"name": "loss_end", "better": "lower", "bound": 0.25}],
+    }
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec_json))
     monkeypatch.setattr(module, "ROOT", str(tmp_path))
     calls = []
@@ -62,3 +67,42 @@ def test_without_against_runs_this_checkout_only(bench):
     out = json.loads((root / "BENCH_one.json").read_text())
     assert "base_fingerprint" not in out
     assert out["workloads"]["w1"]["metrics"]["utts_per_s"]["median"] == 25.0
+
+
+def test_against_reads_the_no_regression_rule_off_the_file(bench, monkeypatch):
+    module, _, root = bench
+    # metric: (better, base run of seed i, change run of seed i, verdict, pairs the change read better)
+    cases = {
+        # 9 of 10 pairs better (one tie), median gain 20 against a parent IQR of 5.5
+        "utts_per_s": ("higher", lambda i: 100 + i, lambda i: 100 if i == 0 else 120 + i, "better", 9),
+        "cells_per_s": ("higher", lambda i: 100 + i, lambda i: 100 + i, "same", 0),
+        # 3 worse on a parent median of 10.45, past its bound of 2.6
+        "op_ms_p50": ("lower", lambda i: 10 + 0.1 * i, lambda i: 13 + 0.1 * i, "worse", 0),
+        # the parent's runs spread over 0.67 of their median, wider than the bound
+        "op_ms_tail": ("lower", lambda i: (10, 20)[i % 2], lambda i: (12, 18)[i % 2], "unresolved", 5),
+        # as wide, but every change run beats every parent run
+        "peak_op_mb": ("lower", lambda i: (10, 20)[i % 2], lambda i: 4, "better", 10),
+        # beats every parent run too, but by less than the parent's IQR of 10
+        "setup_s": ("lower", lambda i: (10, 20)[i % 2], lambda i: 6, "same", 10),
+    }
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    spec["end_to_end"] = [{"name": name, "better": case[0], "bound": 0.25} for name, case in cases.items()]
+    spec["end_to_end"].append({"name": "loss_end", "better": "lower", "bound": 0.25})
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run_once(checkout, workload, seed, seconds):
+        side = 2 if checkout == str(root) else 1
+        metrics = {name: {"unit": "x", "value": float(case[side](seed - 1))} for name, case in cases.items()}
+        metrics["loss_end"] = {"unit": "nats/frame", "value": None}
+        return {"fingerprint": {"seed": seed}}, {"correct": True, "failed": 0, "attempted": 1, "metrics": metrics}
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    assert module.main(["--label", "rule", "--seeds", "1-10", "--against", "parent-dir"]) == 0
+    for workload in ("w1", "w2"):
+        verdicts = json.loads((root / "BENCH_rule.json").read_text())["workloads"][workload]["verdicts"]
+        assert verdicts.pop("loss_end") is None
+        assert {name: (v["verdict"], v["better_pairs"], v["pairs"]) for name, v in verdicts.items()} == {
+            name: (case[3], case[4], 10) for name, case in cases.items()
+        }
+        assert verdicts["utts_per_s"]["base_spread"] == 5.5 / 104.5
+        assert verdicts["op_ms_tail"]["base_spread"] == 10 / 15

@@ -8,6 +8,7 @@ from transducerkit.cli import main
 from transducerkit.config import RUN_KEYS, RunConfig, decode_config_from, train_config_from
 from transducerkit.data import load_split
 from transducerkit.decode import DecodeConfig, alignment_delay, greedy_decode
+from transducerkit.tensor import save_tensor
 from transducerkit.train import TrainConfig
 
 TASK_SPEC = """
@@ -296,6 +297,17 @@ class TestErrors:
         bad.write_bytes(b"NOPE" + b"\x00" * 16)
         rc = main(["decode", "--ckpt", str(bad), "--data", str(tmp_path)])
         assert rc == 2
+
+    def test_decode_malformed_feature_file_names_file(self, tmp_path, corpus_dir, capsys):
+        cfg = run_config(tmp_path, corpus_dir)
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out_dir), "--set", "train.epochs=0"]) == 0
+        split = corpus_dir / "test"
+        tkt = sorted(split.glob("*.tkt"))[1]
+        save_tensor(tkt, np.zeros(7))
+        capsys.readouterr()
+        assert main(["decode", "--ckpt", str(out_dir / "final.tkc"), "--data", str(split)]) == 2
+        assert f"error: {tkt}: expected a (frames, features) tensor" in capsys.readouterr().err
 
     def test_score_malformed_label_file_names_file_and_line(self, tmp_path, capsys):
         ref = tmp_path / "ref.tsv"

@@ -14,6 +14,7 @@ from transducerkit.data import (
     read_label_file,
     save_split,
 )
+from transducerkit.tensor import save_tensor
 
 
 class TestGenSynthetic:
@@ -111,6 +112,17 @@ class TestCorpusDisk:
         save_split(tmp_path, [utt])
         (tmp_path / "labels.tsv").write_text(f"{utt.utt_id}\t{' '.join(map(str, utt.labels))}\n")
         with pytest.raises(ValueError, match=re.escape(f"labels.tsv: utterance {utt.utt_id} has")):
+            load_split(tmp_path)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4,)], ids=["no-rows", "rank-1"])
+    def test_malformed_feature_tensor_names_file_and_shape(self, tmp_path, shape):
+        spec = SyntheticTaskSpec(train_size=2, dev_size=1, test_size=1, seed=5)
+        utts = gen_synthetic(spec)["train"]
+        save_split(tmp_path, utts)
+        tkt = tmp_path / f"{utts[1].utt_id}.tkt"
+        save_tensor(tkt, np.zeros(shape))
+        with pytest.raises(ValueError, match=re.escape(f"{tkt}: expected a (frames, features) tensor") + ".*"
+                           + re.escape(f"got shape {shape}")):
             load_split(tmp_path)
 
 

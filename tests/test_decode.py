@@ -382,6 +382,20 @@ class TestBeam:
             assert_same_nbest(nbest, want)
         assert equal_keys
 
+    def test_builds_hypotheses_only_for_the_nbest(self, monkeypatch):
+        model = tiny_model(num_labels=6, seed=33)
+        enc, _ = model.encode(np.random.default_rng(34).normal(size=(15, 3)))
+        built = []
+
+        def counting_hypothesis(*args, **kwargs):
+            built.append(Hypothesis(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(decode_mod, "Hypothesis", counting_hypothesis)
+        _, nbest = beam_decode(model, enc, DecodeConfig(mode="beam", beam_width=3))
+        assert 1 <= len(built) <= 3
+        assert [id(h) for h in nbest] == [id(h) for h in built]
+
     def test_steps_each_prefix_once(self):
         model = tiny_model(num_labels=6, seed=31)
         enc, _ = model.encode(np.random.default_rng(32).normal(size=(15, 3)))

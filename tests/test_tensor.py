@@ -77,7 +77,7 @@ class TestLayerNorm:
             bias = rng.normal(size=6)
             d_out = rng.normal(size=6)
             _, cache = layer_norm_fwd(v, gain, bias, eps)
-            d_v, d_gain, d_bias = layer_norm_bwd(d_out, gain, cache)
+            d_v = layer_norm_bwd(d_out, gain, cache)
 
             def loss(vec):
                 out, _ = layer_norm_fwd(vec, gain, bias, eps)
@@ -89,9 +89,6 @@ class TestLayerNorm:
                 dn = v.copy(); dn[i] -= step
                 num = (loss(up) - loss(dn)) / (2 * step)
                 assert abs(num - d_v[i]) < 1e-6
-            npt.assert_array_equal(d_bias, d_out)
-            vhat = cache[0]
-            npt.assert_allclose(d_gain, d_out * vhat)
 
 
 class TestSoftmax:

@@ -15,7 +15,8 @@ they were measured on the same host.
 the checkout at DIR ("base", e.g. the parent commit) and this one ("change")
 back to back, alternating which goes first, so that host drift falls on both
 sides alike. Each workload then holds both sides' summaries and, per pair,
-the change/base ratio of every end-to-end metric with the median ratio.
+the change/base ratio of every end-to-end metric with the median ratio, and
+per end-to-end metric of ``BENCHMARK.json`` the verdict of ``judge``.
 """
 
 import argparse
@@ -87,16 +88,54 @@ def ratios(base, change):
     return out
 
 
-def summarize_ab(runs):
+def judge(runs, metric):
+    """The no-regression reading of one end-to-end metric (its ``name``,
+    ``better`` and ``bound`` as in BENCHMARK.json) over one workload's pairs,
+    or None where a side has no value.
+
+    Records how many pairs the change read better (ties count for neither
+    side) and the parent's interquartile range over its median, then a
+    verdict. ``unresolved``: that spread is wider than the bound, and not
+    every change run beats every parent run. Otherwise ``worse``: the
+    change's median is worse than the parent's by more than the bound;
+    ``better``: the change read better in at least nine pairs of ten and its
+    median beats the parent's by more than the parent's interquartile range;
+    ``same``: neither.
+    """
+    name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+    pairs = [(r["base"]["metrics"][name]["value"], r["change"]["metrics"][name]["value"]) for r in runs]
+    pairs = [(b, c) for b, c in pairs if b is not None and c is not None]
+    base = [b for b, _ in pairs]
+    if not base or not statistics.median(base):
+        return None
+    base_median = statistics.median(base)
+    q1, q3 = quartiles(base)
+    spread = (q3 - q1) / abs(base_median)
+    better_pairs = sum(sign * (c - b) > 0 for b, c in pairs)
+    gain = sign * (statistics.median(c for _, c in pairs) - base_median)
+    if spread > metric["bound"] and min(sign * c for _, c in pairs) <= max(sign * b for b in base):
+        verdict = "unresolved"
+    elif gain < -metric["bound"] * abs(base_median):
+        verdict = "worse"
+    elif better_pairs >= 0.9 * len(pairs) and gain > q3 - q1:
+        verdict = "better"
+    else:
+        verdict = "same"
+    return {"pairs": len(pairs), "better_pairs": better_pairs, "base_spread": spread, "verdict": verdict}
+
+
+def summarize_ab(runs, end_to_end):
     """Both sides' summaries of one workload's pairs, the per-pair change/base
-    ratios and their median per metric."""
+    ratios and their median per metric, and ``judge``'s reading of each
+    end-to-end metric."""
     pairs = [{"seed": r["seed"], "first": r["first"], "ratios": ratios(r["base"], r["change"])} for r in runs]
     median_ratio = {}
     for name in pairs[0]["ratios"]:
         values = [p["ratios"][name] for p in pairs if p["ratios"][name] is not None]
         median_ratio[name] = statistics.median(values) if values else None
     out = {key: summarize([{"seed": r["seed"], "result": r[key]} for r in runs]) for key in ("base", "change")}
-    out.update(pairs=pairs, median_ratio=median_ratio)
+    verdicts = {m["name"]: judge(runs, m) for m in end_to_end if m["name"] in median_ratio}
+    out.update(pairs=pairs, median_ratio=median_ratio, verdicts=verdicts)
     return out
 
 
@@ -139,7 +178,11 @@ def main(argv=None):
                             for w in workloads}
     else:
         out["base_fingerprint"] = fingerprints["base"]
-        out["workloads"] = {w: summarize_ab(runs[w]) for w in workloads}
+        out["workloads"] = {w: summarize_ab(runs[w], spec["end_to_end"]) for w in workloads}
+        for w, summary in out["workloads"].items():
+            readings = [f"{name} {v['verdict']} ({v['better_pairs']}/{v['pairs']} better)"
+                        for name, v in summary["verdicts"].items() if v]
+            print(f"{w}: {', '.join(readings)}", file=sys.stderr)
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as f:
         json.dump(out, f, indent=1, sort_keys=True)
