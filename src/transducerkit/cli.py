@@ -45,6 +45,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit()
 
 
+def _at_least(low, typ=int, many=False):
+    """Argparse type: a finite ``typ`` >= low, or with ``many`` a comma-separated list of them."""
+    def parse(text):
+        try:
+            values = [typ(v) for v in text.split(",")] if many else [typ(text)]
+            if all(low <= v < float("inf") for v in values):
+                return values if many else values[0]
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {typ.__name__} >= {low}, got {text!r}")
+    return parse
+
+
 def _log(msg):
     print(msg, file=sys.stderr)
 
@@ -68,13 +81,13 @@ def cmd_gen(args):
 def cmd_train(args):
     cfg = RunConfig.load(args.config, overrides=args.set or ())
     data_dir = cfg.require_dir("data.dir")
-    os.makedirs(args.out, exist_ok=True)
-    cfg.dump(os.path.join(args.out, "config.effective.cfg"))
-    train_utts = data_mod.load_split(os.path.join(data_dir, "train"))
-    dev_dir = os.path.join(data_dir, "dev")
-    dev_utts = data_mod.load_split(dev_dir) if os.path.isdir(dev_dir) else None
     model = TransducerModel(model_config_from(cfg))
     tcfg = train_config_from(cfg)
+    os.makedirs(args.out, exist_ok=True)
+    cfg.dump(os.path.join(args.out, "config.effective.cfg"))
+    train_utts = data_mod.load_split(os.path.join(data_dir, "train"), model.cfg.feature_dim)
+    dev_dir = os.path.join(data_dir, "dev")
+    dev_utts = data_mod.load_split(dev_dir, model.cfg.feature_dim) if os.path.isdir(dev_dir) else None
     _log(f"training {model.registry.num_scalars()} parameters for {tcfg.epochs} epochs")
 
     def on_epoch(epoch):
@@ -94,11 +107,9 @@ def cmd_train(args):
 
 
 def cmd_decode(args):
+    dcfg = DecodeConfig(args.mode, args.beam_width, args.max_symbols)
     model, _ = load_checkpoint(args.ckpt)
-    utts = data_mod.load_split(args.data)
-    dcfg = DecodeConfig(
-        mode=args.mode, beam_width=args.beam_width, max_symbols_per_frame=args.max_symbols
-    )
+    utts = data_mod.load_split(args.data, model.cfg.feature_dim)
     hyps = decode_corpus(model, utts, dcfg)
     lines = []
     for utt in utts:
@@ -161,13 +172,12 @@ def _load_dist(text):
 
 def cmd_bench_mem(args):
     pairs = _load_dist(args.dist)
-    ks = [int(k) for k in args.k.split(",")]
     layouts = ("broadcast", "packed") if args.layout == "all" else (args.layout,)
     variants = ("chain_rule", "merged") if args.loss_variant == "all" else (args.loss_variant,)
     lines = ["layout\tloss_variant\tk\tmax_n"]
     for layout in layouts:
         for variant in variants:
-            for k in ks:
+            for k in args.k:
                 n = joint_mod.max_batch(
                     pairs, args.budget_bytes, layout, variant, args.joint_dim, k
                 )
@@ -197,20 +207,20 @@ def cmd_align_delay(args):
 def cmd_sweep_tau(args):
     cfg = RunConfig.load(args.config, overrides=args.set or ())
     data_dir = cfg.require_dir("data.dir")
-    train_utts = data_mod.load_split(os.path.join(data_dir, "train"))
-    test_utts = data_mod.load_split(os.path.join(data_dir, "test"))
-    taus = [int(t) for t in args.tau.split(",")]
     base_seed = cfg["seed"]
     dcfg = decode_config_from(cfg)
+    for tau in args.tau:  # every tau's config error before any training
+        cfg.values["model.encoder.tau"] = tau
+        model_config_from(cfg)
+    train_utts = data_mod.load_split(os.path.join(data_dir, "train"), cfg["model.feature_dim"])
+    test_utts = data_mod.load_split(os.path.join(data_dir, "test"), cfg["model.feature_dim"])
     lines = ["tau\tmean_token_error\tmean_delay_frames\tlatency_ms"]
-    for tau in taus:
+    for tau in args.tau:
         errs, delays = [], []
         for s in range(args.seeds):
-            run = RunConfig.load(args.config, overrides=args.set or ())
-            run.values["model.encoder.tau"] = tau
-            run.values["seed"] = base_seed + s
-            model = TransducerModel(model_config_from(run))
-            fit(model, train_utts, train_config_from(run), log=_log)
+            cfg.values.update({"model.encoder.tau": tau, "seed": base_seed + s})
+            model = TransducerModel(model_config_from(cfg))
+            fit(model, train_utts, train_config_from(cfg), log=_log)
             err, hyps = evaluate_token_error(model, test_utts, dcfg)
             delay, _ = corpus_delay(
                 ((u.utt_id, hyps[u.utt_id].tokens, hyps[u.utt_id].emit_frames, u.labels, u.ref_frames)
@@ -248,8 +258,8 @@ def build_parser():
     p.add_argument("--data", required=True)
     defaults = DecodeConfig()
     p.add_argument("--mode", choices=("greedy", "beam"), default=defaults.mode)
-    p.add_argument("--beam-width", type=int, default=defaults.beam_width)
-    p.add_argument("--max-symbols", type=int, default=defaults.max_symbols_per_frame)
+    p.add_argument("--beam-width", type=_at_least(1), default=defaults.beam_width)
+    p.add_argument("--max-symbols", type=_at_least(1), default=defaults.max_symbols_per_frame)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("score", help="token error rate of a decode output")
@@ -258,26 +268,26 @@ def build_parser():
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("bench-mem", help="modeled max minibatch size table")
-    p.add_argument("--k", default="4096,36000", help="comma-separated output sizes")
-    p.add_argument("--budget-bytes", type=float, default=16e9)
+    p.add_argument("--k", type=_at_least(0, many=True), default="4096,36000", help="comma-separated output sizes")
+    p.add_argument("--budget-bytes", type=_at_least(1, float), default=16e9)
     p.add_argument("--layout", choices=("broadcast", "packed", "all"), default="all")
     p.add_argument("--loss-variant", choices=("chain_rule", "merged", "all"), default="all")
     p.add_argument("--dist", default="builtin:mixed", help="builtin:<name> or a T<TAB>U file")
-    p.add_argument("--joint-dim", type=int, default=640)
+    p.add_argument("--joint-dim", type=_at_least(1), default=640)
     p.set_defaults(func=cmd_bench_mem)
 
     p = sub.add_parser("align-delay", help="mean emission delay vs ground truth")
     p.add_argument("--hyp-with-frames", required=True)
     p.add_argument("--ref-frames", required=True)
-    p.add_argument("--frame-divisor", type=int, default=1,
+    p.add_argument("--frame-divisor", type=_at_least(1), default=1,
                    help="divide reference frames by this (3 maps raw 10ms frames "
                         "onto stacked 30ms encoder frames)")
     p.set_defaults(func=cmd_align_delay)
 
     p = sub.add_parser("sweep-tau", help="train/evaluate over lookahead values")
     p.add_argument("--config", required=True)
-    p.add_argument("--tau", default="0,2,4")
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--tau", type=_at_least(0, many=True), default="0,2,4")
+    p.add_argument("--seeds", type=_at_least(1), default=3)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_sweep_tau)
     return parser

@@ -122,23 +122,31 @@ class RunConfig:
                     f.write(f"{key} = {val}\n")
 
 
+def _build(make):
+    """``make()``, a dataclass's validation error raised as a ConfigError."""
+    try:
+        return make()
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def model_config_from(cfg):
-    enc = NetConfig(
+    enc = _build(lambda: NetConfig(
         cell_kind=cfg["model.encoder.cell_kind"],
         num_layers=cfg["model.encoder.layers"],
         hidden=cfg["model.encoder.hidden"],
         input_dim=cfg["model.feature_dim"] * cfg["model.frame_stack"],
         projection=cfg["model.encoder.projection"],
         tau=cfg["model.encoder.tau"],
-    )
-    pre = NetConfig(
+    ))
+    pre = _build(lambda: NetConfig(
         cell_kind=cfg["model.prediction.cell_kind"],
         num_layers=cfg["model.prediction.layers"],
         hidden=cfg["model.prediction.hidden"],
         input_dim=cfg["model.prediction.embed_dim"],
         projection=cfg["model.prediction.projection"],
-    )
-    return ModelConfig(
+    ))
+    return _build(lambda: ModelConfig(
         feature_dim=cfg["model.feature_dim"],
         num_labels=cfg["model.num_labels"],
         joint_dim=cfg["model.joint_dim"],
@@ -146,7 +154,7 @@ def model_config_from(cfg):
         prediction=pre,
         frame_stack=cfg["model.frame_stack"],
         seed=cfg["seed"],
-    )
+    ))
 
 
 def _section_values(cfg, prefix, cls):
@@ -154,15 +162,15 @@ def _section_values(cfg, prefix, cls):
 
 
 def train_config_from(cfg):
-    return TrainConfig(seed=cfg["seed"], **_section_values(cfg, "train", TrainConfig))
+    return _build(lambda: TrainConfig(seed=cfg["seed"], **_section_values(cfg, "train", TrainConfig)))
 
 
 def decode_config_from(cfg):
-    return DecodeConfig(**_section_values(cfg, "decode", DecodeConfig))
+    return _build(lambda: DecodeConfig(**_section_values(cfg, "decode", DecodeConfig)))
 
 
 def task_spec_from(cfg):
-    return SyntheticTaskSpec(
+    return _build(lambda: SyntheticTaskSpec(
         num_labels=cfg["task.num_labels"],
         utt_len_range=(cfg["task.utt_len_min"], cfg["task.utt_len_max"]),
         dur_range=(cfg["task.dur_min"], cfg["task.dur_max"]),
@@ -172,4 +180,4 @@ def task_spec_from(cfg):
         test_size=cfg["task.test_size"],
         seed=cfg["task.seed"],
         render_stride=cfg["task.render_stride"],
-    )
+    ))

@@ -109,7 +109,7 @@ def save_corpus(root, corpus):
         save_split(os.path.join(root, split), utts)
 
 
-def load_split(dirpath):
+def load_split(dirpath, feature_dim):
     path = os.path.join(dirpath, "labels.tsv")
     utts = []
     for utt_id, (labels, ref_frames) in read_label_file(path).items():
@@ -119,9 +119,9 @@ def load_split(dirpath):
             )
         tkt = os.path.join(dirpath, utt_id + ".tkt")
         features = load_tensor(tkt)
-        if features.ndim != 2 or not features.shape[0]:
-            raise ValueError(f"{tkt}: expected a (frames, features) tensor with at least one row, "
-                             f"got shape {features.shape}")
+        if features.ndim != 2 or not features.shape[0] or features.shape[1] != feature_dim:
+            raise ValueError(f"{tkt}: expected a (frames, features) tensor with at least one row "
+                             f"and {feature_dim} features, got shape {features.shape}")
         utts.append(Utterance(utt_id, features, labels, ref_frames))
     return utts
 

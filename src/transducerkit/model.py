@@ -41,8 +41,9 @@ class ModelConfig:
                 f"encoder input_dim {self.encoder.input_dim} != "
                 f"feature_dim*frame_stack = {expected}"
             )
-        if self.prediction.is_contextual:
-            raise ValueError("contextual cell kinds are only valid for the encoder")
+        if self.prediction.is_trajectory:
+            raise ValueError(f"prediction cell kind {self.prediction.cell_kind!r}: "
+                             "trajectory and contextual kinds are only valid for the encoder")
 
 
 class TransducerModel:

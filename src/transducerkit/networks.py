@@ -209,33 +209,6 @@ class SequenceNet:
             d_below, _, _ = self.time_cells[l].backward(d_h, None, time_caches[l])
         return d_below
 
-    def initial_state(self):
-        """Per-layer time-cell states; depth cells are stateless across steps."""
-        return [cell.initial_state() for cell in self.time_cells]
-
-    def step(self, x, state):
-        """Advance one frame/position. Returns (new_state, output vector).
-
-        Same math as forward(), evaluated incrementally; only valid for
-        non-contextual kinds (lookahead needs future frames).
-        """
-        if self.cfg.is_contextual:
-            raise ValueError("contextual networks cannot be stepped frame by frame")
-        new_state = []
-        cur = np.asarray(x, dtype=DTYPE)
-        for cell, st in zip(self.time_cells, state):
-            st, _ = cell.step(cur, st)
-            new_state.append(st)
-            cur = st.h
-        if not self.cfg.is_trajectory:
-            return new_state, cur
-        out = np.zeros(self.cfg.out_dim, dtype=DTYPE)
-        below_c = np.zeros(self.cfg.hidden, dtype=DTYPE) if self.cfg.cell_kind in LSTM_KINDS else None
-        for cell, st in zip(self.depth_cells, new_state):
-            col, _ = cell.step(out, CellState(st.h, below_c))
-            out, below_c = col.h, col.c
-        return new_state, out
-
 
 def expected_param_count(cfg):
     """Closed-form parameter count for one SequenceNet; must match the registry."""
@@ -306,15 +279,21 @@ class PredictionNet:
         np.add.at(self.table.grad, flat, d_xs[label_rows])
 
     def initial_state(self):
-        return self.net.initial_state()
+        return [cell.initial_state() for cell in self.net.time_cells]
 
     def step(self, state, token=None):
-        """Advance by one token (None = the start position's zero embedding)."""
+        """Advance by one token (None = the start position's zero embedding):
+        one step of each layer's time cell. Returns (new_state, top output)."""
         if token is None:
-            x = np.zeros(self.cfg.input_dim, dtype=DTYPE)
+            cur = np.zeros(self.cfg.input_dim, dtype=DTYPE)
         else:
             token = int(token)
             if not 1 <= token < self.num_labels:
                 raise self._token_error(token)
-            x = self.table.value[token]
-        return self.net.step(x, state)
+            cur = self.table.value[token]
+        new_state = []
+        for cell, st in zip(self.net.time_cells, state):
+            st, _ = cell.step(cur, st)
+            new_state.append(st)
+            cur = st.h
+        return new_state, cur

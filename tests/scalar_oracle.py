@@ -330,31 +330,6 @@ class OracleNet:
             d_next = d_below
         return np.vstack(d_next)
 
-    def initial_state(self):
-        return [cell.initial_state() for cell in self.time_cells]
-
-    def step(self, x, state):
-        new_state = []
-        cur = np.asarray(x, dtype=DTYPE)
-        for cell, st in zip(self.time_cells, state):
-            st2, _ = cell.step(cur, st)
-            new_state.append(st2)
-            cur = st2.h
-        if not self.cfg.is_trajectory:
-            return new_state, cur
-        out = np.zeros(self.cfg.out_dim, dtype=DTYPE)
-        below_cell = None
-        for l, cell in enumerate(self.depth_cells):
-            if cell.state_kind == "lstm":
-                c = below_cell if below_cell is not None else np.zeros(self.cfg.hidden, dtype=DTYPE)
-                prev = CellState(new_state[l].h, c)
-            else:
-                prev = CellState(new_state[l].h)
-            st, _ = cell.step(out, prev)
-            out = st.h
-            below_cell = st.c
-        return new_state, out
-
 
 def legacy_uniform(rng, shape, fanin):
     """One weight draw as the per-gate layout made it: a uniform array, then a copy."""

@@ -45,6 +45,25 @@ decode.mode = greedy
 """
 
 
+# (command and flags, stderr fragment) of each usage or config error; the test
+# adds the flags the command requires
+USAGE_ERRORS = [
+    ("train --set train.lr_decay=2", "lr_decay must be in (0, 1]"),
+    ("train --set model.encoder.cell_kind=foo", "unknown cell kind 'foo'"),
+    ("train --set model.prediction.cell_kind=lt_gru", "prediction cell kind 'lt_gru'"),
+    ("gen --spec {bad_spec}", "bad duration range"),
+    ("decode --beam-width 0", "--beam-width: expected int >= 1, got '0'"),
+    ("decode --max-symbols 0", "--max-symbols"),
+    ("align-delay --frame-divisor 0", "--frame-divisor"),
+    ("sweep-tau --tau x", "--tau: expected int >= 0, got 'x'"),
+    ("sweep-tau --tau 0,-2", "--tau"),
+    ("sweep-tau --seeds 0", "--seeds"),
+    ("sweep-tau --set model.encoder.cell_kind=ln_gru --tau 0,2", "tau must be 0"),
+    ("bench-mem --k abc", "--k"),
+    ("bench-mem --budget-bytes -5", "--budget-bytes: expected float >= 1, got '-5'"),
+]
+
+
 @pytest.fixture
 def corpus_dir(tmp_path):
     spec = tmp_path / "task.cfg"
@@ -304,10 +323,38 @@ class TestErrors:
         assert main(["train", "--config", str(cfg), "--out", str(out_dir), "--set", "train.epochs=0"]) == 0
         split = corpus_dir / "test"
         tkt = sorted(split.glob("*.tkt"))[1]
-        save_tensor(tkt, np.zeros(7))
+        for shape in ((7,), (9, 7)):  # rank 1; 7 features where the model reads 5
+            save_tensor(tkt, np.zeros(shape))
+            for mode in ("greedy", "beam"):
+                capsys.readouterr()
+                assert main(["decode", "--ckpt", str(out_dir / "final.tkc"), "--data", str(split),
+                             "--mode", mode]) == 2
+                err = capsys.readouterr().err
+                assert f"error: {tkt}: expected a (frames, features) tensor" in err
+                assert f"5 features, got shape {shape}" in err
+
+    @pytest.mark.parametrize("argv,message", USAGE_ERRORS, ids=[argv for argv, _ in USAGE_ERRORS])
+    def test_usage_and_config_errors_exit_1_before_any_work(self, tmp_path, corpus_dir, capsys, argv, message):
+        # a missing checkpoint or label file would exit 2, so 1 means the
+        # arguments were rejected first
+        cfg = run_config(tmp_path, corpus_dir)
+        bad_spec = tmp_path / "bad-task.cfg"
+        bad_spec.write_text(TASK_SPEC.replace("task.dur_min = 1", "task.dur_min = 0"))
+        out = tmp_path / "out"
+        absent = str(tmp_path / "absent")
+        required = {
+            "train": ["--config", str(cfg), "--out", str(out)],
+            "gen": ["--out", str(out)],
+            "decode": ["--ckpt", absent, "--data", str(corpus_dir / "test")],
+            "align-delay": ["--hyp-with-frames", absent, "--ref-frames", absent],
+            "sweep-tau": ["--config", str(cfg)],
+            "bench-mem": [],
+        }
+        command, *flags = argv.format(bad_spec=bad_spec).split()
         capsys.readouterr()
-        assert main(["decode", "--ckpt", str(out_dir / "final.tkc"), "--data", str(split)]) == 2
-        assert f"error: {tkt}: expected a (frames, features) tensor" in capsys.readouterr().err
+        assert main([command, *required[command], *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_score_malformed_label_file_names_file_and_line(self, tmp_path, capsys):
         ref = tmp_path / "ref.tsv"
@@ -353,7 +400,7 @@ class TestSweepTau:
         cfg = run_config(tmp_path, corpus_dir, "train.epochs = 3\n")
         assert main(["sweep-tau", "--config", str(cfg), "--tau", "0", "--seeds", "1"]) == 0
         mean_delay = capsys.readouterr().out.splitlines()[-1].split("\t")[2]
-        test_utts = load_split(str(corpus_dir / "test"))
+        test_utts = load_split(str(corpus_dir / "test"), 5)
         assert len(calls) == len(test_utts)
 
         # the delay as sweep-tau computed it before, from a second decode

@@ -71,7 +71,7 @@ class TestCorpusDisk:
         spec = SyntheticTaskSpec(train_size=4, dev_size=1, test_size=1, seed=5)
         utts = gen_synthetic(spec)["train"]
         save_split(tmp_path / "train", utts)
-        back = load_split(tmp_path / "train")
+        back = load_split(tmp_path / "train", spec.feature_dim)
         assert [u.utt_id for u in back] == [u.utt_id for u in utts]
         for a, b in zip(utts, back):
             npt.assert_array_equal(a.features, b.features)
@@ -104,7 +104,7 @@ class TestCorpusDisk:
         utts[1].ref_frames = utts[1].ref_frames[:-1]
         save_split(tmp_path, utts)
         with pytest.raises(ValueError, match=re.escape(f"labels.tsv: utterance {utts[1].utt_id} has")):
-            load_split(tmp_path)
+            load_split(tmp_path, spec.feature_dim)
 
     def test_two_column_split_line_rejected(self, tmp_path):
         spec = SyntheticTaskSpec(train_size=1, dev_size=1, test_size=1, seed=5)
@@ -112,9 +112,9 @@ class TestCorpusDisk:
         save_split(tmp_path, [utt])
         (tmp_path / "labels.tsv").write_text(f"{utt.utt_id}\t{' '.join(map(str, utt.labels))}\n")
         with pytest.raises(ValueError, match=re.escape(f"labels.tsv: utterance {utt.utt_id} has")):
-            load_split(tmp_path)
+            load_split(tmp_path, spec.feature_dim)
 
-    @pytest.mark.parametrize("shape", [(0, 4), (4,)], ids=["no-rows", "rank-1"])
+    @pytest.mark.parametrize("shape", [(0, 4), (4,), (9, 7)], ids=["no-rows", "rank-1", "width"])
     def test_malformed_feature_tensor_names_file_and_shape(self, tmp_path, shape):
         spec = SyntheticTaskSpec(train_size=2, dev_size=1, test_size=1, seed=5)
         utts = gen_synthetic(spec)["train"]
@@ -122,8 +122,8 @@ class TestCorpusDisk:
         tkt = tmp_path / f"{utts[1].utt_id}.tkt"
         save_tensor(tkt, np.zeros(shape))
         with pytest.raises(ValueError, match=re.escape(f"{tkt}: expected a (frames, features) tensor") + ".*"
-                           + re.escape(f"got shape {shape}")):
-            load_split(tmp_path)
+                           + re.escape(f"{spec.feature_dim} features, got shape {shape}")):
+            load_split(tmp_path, spec.feature_dim)
 
 
 class TestMakeBatches:

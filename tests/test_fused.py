@@ -132,13 +132,6 @@ def test_network_matches_oracle(kind, tau, T):
     for p in reg:
         npt.assert_allclose(grads[p.name], p.grad, **TOL, err_msg=p.name)
 
-    if not net.cfg.is_contextual:
-        state, state_o = net.initial_state(), oracle.initial_state()
-        for t in range(T):
-            state, out = net.step(xs[t], state)
-            state_o, out_o = oracle.step(xs[t], state_o)
-            npt.assert_allclose(out, out_o, **TOL)
-
 
 def test_depth_layer_is_one_step_over_all_frames():
     _, net = perturbed_net("eclt_gru", 2)
