@@ -2,9 +2,10 @@
 
 Core pieces: a packed (per-sequence exact-size) joint lattice, a transducer
 loss whose logit gradient is computed in place over the posterior buffer,
-six layer-normalized recurrent encoder/prediction architectures, greedy and
-beam decoding, a synthetic-task training harness, and an accounting model
-for comparing lattice memory layouts.
+six layer-normalized recurrent encoder wirings and a plain ``ln_lstm`` or
+``ln_gru`` prediction stack, greedy and beam decoding, a synthetic-task
+training harness, and an accounting model for comparing lattice memory
+layouts.
 """
 
 from .cells import CellState, LnGruCell, LnLstmCell

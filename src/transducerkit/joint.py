@@ -37,10 +37,6 @@ class PackedLattice:
             raise ValueError(f"packed data has {data.shape[0]} rows, dims imply {row}")
 
     @property
-    def num_sequences(self):
-        return len(self.dims)
-
-    @property
     def width(self):
         return self.data.shape[1]
 

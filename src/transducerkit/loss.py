@@ -57,7 +57,7 @@ def forward_backward(posteriors, labels_list):
     labels_list: one label-id sequence per packed sequence (no blanks).
     Returns a LossWorkspace with per-sequence log-likelihoods and losses.
     """
-    if posteriors.num_sequences != len(labels_list):
+    if len(posteriors.dims) != len(labels_list):
         raise ValueError("one label sequence required per packed sequence")
     ws = LossWorkspace(posteriors, labels_list)
     dims = np.array(posteriors.dims, dtype=np.intp).reshape(-1, 2)

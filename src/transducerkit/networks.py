@@ -96,7 +96,6 @@ class SequenceNet:
 
     def __init__(self, reg, prefix, cfg, rng):
         self.cfg = cfg
-        self.prefix = prefix
         self.time_cells = []
         self.depth_cells = []
         self.ctx_weights = []  # per boundary, list of tau+1 Params
@@ -235,7 +234,7 @@ def expected_param_count(cfg):
 
 
 class PredictionNet:
-    """Label-side network producing one output per consumed-prefix length.
+    """Label-side plain ``ln_lstm``/``ln_gru`` stack, one output per consumed-prefix length.
 
     Output u encodes the prefix y_1..y_u; position 0 starts from the all-zero
     embedding. ``table`` is the learned token embedding; its row 0 (blank)
@@ -243,6 +242,9 @@ class PredictionNet:
     """
 
     def __init__(self, reg, prefix, cfg, num_labels, rng):
+        if cfg.is_trajectory:
+            raise ValueError(f"prediction cell kind {cfg.cell_kind!r}: "
+                             "trajectory and contextual kinds are only valid for the encoder")
         self.cfg = cfg
         self.num_labels = num_labels
         dim = cfg.input_dim

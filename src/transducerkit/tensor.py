@@ -141,9 +141,6 @@ class ParamRegistry:
     def __iter__(self):
         return iter(self._params.values())
 
-    def __len__(self):
-        return len(self._params)
-
     def zero_grad(self):
         for p in self._params.values():
             p.grad[...] = 0.0
@@ -164,10 +161,6 @@ class ParamRegistry:
             for p in self._params.values():
                 p.grad *= scale
         return norm
-
-    def state_items(self):
-        """(name, value) pairs in insertion order, for serialization."""
-        return [(name, p.value) for name, p in self._params.items()]
 
 
 def grad_check(loss_fn, registry, step=1e-6):

@@ -136,17 +136,17 @@ def save_checkpoint(path, model, step=0):
         "version": CHECKPOINT_VERSION,
         "step": int(step),
         "model": asdict(model.cfg),
-        "params": [name for name, _ in model.registry.state_items()],
+        "params": [p.name for p in model.registry],
     }
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for name, value in model.registry.state_items():
-            f.write(struct.pack("<I", len(name.encode())))
-            f.write(name.encode())
-            write_tensor(f, value)
+        for p in model.registry:
+            f.write(struct.pack("<I", len(p.name.encode())))
+            f.write(p.name.encode())
+            write_tensor(f, p.value)
 
 
 def load_checkpoint(path):

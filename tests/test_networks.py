@@ -248,7 +248,6 @@ class TestPredictionNet:
         return reg, net
 
     def test_contextual_rejected(self):
-        # PredictionNet is only built from a ModelConfig, which holds the check
         enc = NetConfig(cell_kind="lt_gru", num_layers=1, hidden=4, input_dim=6)
         pre = NetConfig(cell_kind="eclt_gru", num_layers=1, hidden=4, input_dim=3, tau=1)
         with pytest.raises(ValueError, match="only valid for the encoder"):
@@ -256,12 +255,18 @@ class TestPredictionNet:
 
     @pytest.mark.parametrize("kind", ["lt_lstm", "lt_gru", "clt_lstm", "eclt_gru"])
     def test_trajectory_kinds_rejected(self, kind):
-        # decoding steps only the time cells, so no depth column may sit on top
+        # decoding steps only the time cells, so no depth column may sit on
+        # top; the config and the network itself both refuse one
         enc = NetConfig(cell_kind="lt_gru", num_layers=1, hidden=4, input_dim=6)
         kwargs = dict(projection=3) if kind.endswith("lstm") else {}
         pre = NetConfig(cell_kind=kind, num_layers=1, hidden=4, input_dim=3, **kwargs)
-        with pytest.raises(ValueError, match=f"prediction cell kind '{kind}'.*only valid for the encoder"):
+        message = f"prediction cell kind '{kind}'.*only valid for the encoder"
+        with pytest.raises(ValueError, match=message):
             ModelConfig(feature_dim=2, num_labels=6, joint_dim=4, encoder=enc, prediction=pre)
+        reg = ParamRegistry()
+        with pytest.raises(ValueError, match=message):
+            PredictionNet(reg, "pre", pre, 6, np.random.default_rng(0))
+        assert list(reg) == []
 
     def test_empty_prefix_single_output(self):
         _, net = self.make()

@@ -12,6 +12,10 @@ defaulted dataclass field, counts as passed when a program call gives it by
 keyword or by position, spreads ``*``/``**`` arguments, or sets it through
 ``dataclasses.replace``. Calls resolve by bare name; ``cls(...)`` inside a
 classmethod is a call of its class.
+
+An instance attribute that a package class assigns (``self.x = ...``)
+counts as read when a program file loads it as an attribute (of any object)
+or names it in a string. A store, including ``self.x += ...``, is not a read.
 """
 
 import ast
@@ -203,6 +207,39 @@ def unpassed(modules, trees):
     return sorted(d.label for d in defaulted_parameters(modules) if not passed(d))
 
 
+def assigned_attributes(modules):
+    """(qualified name, attribute) of every ``self.<attribute>`` that a
+    method of a package class stores to, ``self`` being its first parameter."""
+    found = set()
+    for module, tree in modules:
+        for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            for item in cls.body:
+                if not isinstance(item, ast.FunctionDef) or not item.args.args:
+                    continue
+                me = item.args.args[0].arg
+                for node in ast.walk(item):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name) and node.value.id == me):
+                        found.add((f"{module}.{cls.name}.{node.attr}", node.attr))
+    return found
+
+
+def read_attributes(trees):
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return read
+
+
+def unread(modules, trees):
+    read = read_attributes(trees)
+    return sorted({qual for qual, attr in assigned_attributes(modules) if attr not in read})
+
+
 def test_every_public_name_has_a_program_caller():
     unused = [q for q in unreferenced(package_modules(), program_trees()) if q.rsplit(".", 1)[-1] not in TEST_ONLY]
     assert unused == [], "public names only tests (or nothing) use; delete them or allowlist with a reason"
@@ -211,6 +248,11 @@ def test_every_public_name_has_a_program_caller():
 def test_every_defaulted_parameter_is_passed_by_a_program():
     unused = [label for label in unpassed(package_modules(), program_trees()) if label not in TEST_ONLY_PARAMS]
     assert unused == [], "parameters only tests (or nothing) pass; make them constants or allowlist with a reason"
+
+
+def test_every_assigned_attribute_is_read_by_a_program():
+    unused = unread(package_modules(), program_trees())
+    assert unused == [], "attributes only tests (or nothing) read; stop storing them"
 
 
 def test_allowlist_is_current():
@@ -272,3 +314,9 @@ class TestGuard:
         assert unreferenced([("m", GUARDED)], [local]) == ["m.Table.names"]
         by_string = in_memory("setattr(Table, 'names', None)\nprint(scale, Spec, Table.parse)")
         assert unreferenced([("m", GUARDED)], [by_string]) == []
+
+    def test_attribute_needs_a_load_or_string(self):
+        store_only = in_memory("t = Table(['a'])\nt.sep = ','\nt.rows += ['b']")
+        assert unread([("m", GUARDED)], [store_only]) == ["m.Table.rows", "m.Table.sep"]
+        loads = in_memory("t = Table(['a'])\nprint(t.rows, getattr(t, 'sep'))")
+        assert unread([("m", GUARDED)], [loads]) == []

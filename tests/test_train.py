@@ -282,7 +282,7 @@ class TestCheckpoint:
         path = tmp_path / "cut.tkc"
         save_checkpoint(path, model)
         raw = path.read_bytes()
-        last = 8 * model.registry.state_items()[-1][1].size
+        last = 8 * list(model.registry)[-1].value.size
         keep, expected, got = {
             "magic": (3, 4, 3),
             "header": (18, struct.unpack("<I", raw[4:8])[0], 10),
