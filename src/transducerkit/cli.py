@@ -172,11 +172,9 @@ def _load_dist(text):
 
 def cmd_bench_mem(args):
     pairs = _load_dist(args.dist)
-    layouts = ("broadcast", "packed") if args.layout == "all" else (args.layout,)
-    variants = ("chain_rule", "merged") if args.loss_variant == "all" else (args.loss_variant,)
     lines = ["layout\tloss_variant\tk\tmax_n"]
-    for layout in layouts:
-        for variant in variants:
+    for layout in ("broadcast", "packed"):
+        for variant in ("chain_rule", "merged"):
             for k in args.k:
                 n = joint_mod.max_batch(
                     pairs, args.budget_bytes, layout, variant, args.joint_dim, k
@@ -268,11 +266,9 @@ def build_parser():
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("bench-mem", help="modeled max minibatch size table")
-    p.add_argument("--k", type=_at_least(0, many=True), default="4096,36000", help="comma-separated output sizes")
+    p.add_argument("--k", type=_at_least(2, many=True), default="4096,36000", help="comma-separated output sizes")
     p.add_argument("--budget-bytes", type=_at_least(1, float), default=16e9)
-    p.add_argument("--layout", choices=("broadcast", "packed", "all"), default="all")
-    p.add_argument("--loss-variant", choices=("chain_rule", "merged", "all"), default="all")
-    p.add_argument("--dist", default="builtin:mixed", help="builtin:<name> or a T<TAB>U file")
+    p.add_argument("--dist", default="builtin:mixed", help="builtin:mixed or a T<TAB>U file")
     p.add_argument("--joint-dim", type=_at_least(1), default=640)
     p.set_defaults(func=cmd_bench_mem)
 

@@ -5,7 +5,6 @@ the ground-truth emission frames written by the data generator.
 """
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +88,6 @@ def beam_decode(model, enc_outputs, cfg):
     cache = {(): model.prediction.step(model.prediction.initial_state(), None)}
     kept = [((), (0.0, ()))]
     sentinel = (model.num_labels,)
-    seq = itertools.count()
     for t in range(enc_outputs.shape[0]):
         active, heap = {}, []
 
@@ -97,8 +95,9 @@ def beam_decode(model, enc_outputs, cfg):
             entry = _merge(active, tokens, score, frames)
             # pop order: higher score, then lower token ids, with an
             # extension ahead of its own prefix (the sentinel num_labels
-            # exceeds every token id); seq keeps entries out of equal keys
-            heapq.heappush(heap, (-entry[0], tokens + sentinel, next(seq), tokens, entry))
+            # exceeds every token id); equal keys fall through to plain
+            # tuples, and stale items are skipped by identity either way
+            heapq.heappush(heap, (-entry[0], tokens + sentinel, tokens, entry))
 
         for tokens, entry in kept:
             push(tokens, *entry)
@@ -107,9 +106,9 @@ def beam_decode(model, enc_outputs, cfg):
             if not active:
                 break
             # skip stale entries: a merge replaced their entry, or popped it
-            while active.get(heap[0][3]) is not heap[0][4]:
+            while active.get(heap[0][2]) is not heap[0][3]:
                 heapq.heappop(heap)
-            tokens, (score, frames) = heapq.heappop(heap)[3:]
+            tokens, (score, frames) = heapq.heappop(heap)[2:]
             if len(finished) >= cfg.beam_width:
                 bar = sorted(s for s, _ in finished.values())[-cfg.beam_width]
                 if bar >= score:

@@ -203,11 +203,7 @@ def sample_length_pairs(t_range, u_range):
     return list(zip(ts.tolist(), us.tolist()))
 
 
-BUILTIN_DISTS = {
-    "mixed": lambda: sample_length_pairs((80, 800), (4, 60)),
-    "short": lambda: sample_length_pairs((40, 200), (2, 16)),
-    "equal": lambda: [(300, 24)] * 256,
-}
+BUILTIN_DISTS = {"mixed": lambda: sample_length_pairs((80, 800), (4, 60))}
 
 
 def max_batch(length_pairs, memory_budget, layout, loss_variant, joint_dim, num_labels):

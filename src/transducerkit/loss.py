@@ -197,7 +197,6 @@ def grad_logits_chain(ws):
     post = ws.posteriors
     inner = np.sum(d_post.data * post.data, axis=-1, keepdims=True)
     data = post.data * (d_post.data - inner)
-    ws.phase = "gradient"
     return PackedLattice(data, post.dims)
 
 

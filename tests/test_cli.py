@@ -49,6 +49,7 @@ decode.mode = greedy
 # adds the flags the command requires
 USAGE_ERRORS = [
     ("train --set train.lr_decay=2", "lr_decay must be in (0, 1]"),
+    ("train --set train.optimizer=sgd", "unknown key 'train.optimizer'"),
     ("train --set model.encoder.cell_kind=foo", "unknown cell kind 'foo'"),
     ("train --set model.prediction.cell_kind=lt_gru", "prediction cell kind 'lt_gru'"),
     ("gen --spec {bad_spec}", "bad duration range"),
@@ -60,6 +61,8 @@ USAGE_ERRORS = [
     ("sweep-tau --seeds 0", "--seeds"),
     ("sweep-tau --set model.encoder.cell_kind=ln_gru --tau 0,2", "tau must be 0"),
     ("bench-mem --k abc", "--k"),
+    ("bench-mem --k 1", "--k: expected int >= 2, got '1'"),
+    ("bench-mem --layout packed", "unrecognized arguments"),
     ("bench-mem --budget-bytes -5", "--budget-bytes: expected float >= 1, got '-5'"),
 ]
 
@@ -229,8 +232,6 @@ class TestBenchMem:
     # default budget (16e9 bytes) and joint width (640)
     @pytest.mark.parametrize("dist,max_n", [
         ("mixed", [3, 0, 8, 1, 10, 1, 28, 3]),
-        ("short", [45, 5, 124, 16, 127, 15, 348, 45]),
-        ("equal", [20, 2, 56, 7, 20, 2, 56, 7]),
     ])
     def test_builtin_dist_output_pinned(self, capsys, dist, max_n):
         assert main(["bench-mem", "--dist", f"builtin:{dist}"]) == 0
@@ -269,7 +270,6 @@ train.clip_norm = 5.0
 train.epochs = 10
 train.lr = 0.001
 train.lr_decay = 1.0
-train.optimizer = adam
 """
 
 
@@ -283,17 +283,17 @@ class TestConfigSchema:
     def test_section_types_pinned(self):
         types = {key: typ for key, (typ, _) in RUN_KEYS.items() if key.startswith(("train.", "decode."))}
         assert types == {
-            "train.optimizer": str, "train.lr": float, "train.lr_decay": float, "train.clip_norm": float,
+            "train.lr": float, "train.lr_decay": float, "train.clip_norm": float,
             "train.epochs": int, "train.batch_budget": int,
             "decode.mode": str, "decode.beam_width": int, "decode.max_symbols_per_frame": int,
         }
 
     def test_builders_read_every_section_key(self):
-        cfg = RunConfig.load(overrides=["seed=4", "train.optimizer=sgd", "train.lr=0.5", "train.lr_decay=0.5",
+        cfg = RunConfig.load(overrides=["seed=4", "train.lr=0.5", "train.lr_decay=0.5",
                                         "train.clip_norm=2", "train.epochs=3", "train.batch_budget=7",
                                         "decode.mode=beam", "decode.beam_width=3",
                                         "decode.max_symbols_per_frame=2"])
-        assert train_config_from(cfg) == TrainConfig("sgd", 0.5, 0.5, 2.0, 3, 7, seed=4)
+        assert train_config_from(cfg) == TrainConfig(0.5, 0.5, 2.0, 3, 7, seed=4)
         assert decode_config_from(cfg) == DecodeConfig("beam", 3, 2)
 
 

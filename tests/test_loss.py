@@ -283,6 +283,18 @@ class TestMergedGradient:
         assert merged < 0.05 * probs.nbytes  # in place: no lattice-sized buffer
         assert chain - merged >= 1.9 * probs.nbytes  # posterior and logit gradients
 
+    def test_chain_rule_leaves_posteriors_for_merged(self):
+        # the chain rule allocates its own lattices, so only the merged
+        # gradient may overwrite the posterior buffer
+        rng = np.random.default_rng(11)
+        lengths = ((3, 2), (2, 0), (4, 3))
+        blocks = [softmax(rng.normal(scale=2.0, size=(t, u + 1, 4))) for t, u in lengths]
+        labels_list = [rng.integers(1, 4, size=u).tolist() for _, u in lengths]
+        ws = forward_backward(pack([b.copy() for b in blocks]), labels_list)
+        grad_logits_chain(ws)
+        fresh = forward_backward(pack([b.copy() for b in blocks]), labels_list)
+        npt.assert_array_equal(grad_logits_merged(ws).data, grad_logits_merged(fresh).data)
+
     def test_phase_flag(self):
         probs, labels = uniform_case()
         ws = forward_backward(pack([probs]), [labels])
